@@ -6,9 +6,9 @@ and prints the empirical coverage.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
+from bayesinv.csvio import write_csv
 from bayesinv.inverse_regression import coverage_experiment
 
 
@@ -28,12 +28,8 @@ def main() -> int:
                               args.alpha, args.x_true, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "x_classical", "x_inverse", "covered"])
-        for i in range(args.reps):
-            writer.writerow([i, repr(float(res.x_classical[i])),
-                             repr(float(res.x_inverse[i])), int(res.covered[i])])
+    write_csv(out, ["replication", "x_classical", "x_inverse", "covered"],
+              zip(range(args.reps), res.x_classical, res.x_inverse, res.covered.astype(int)))
     print(f"coverage at alpha={args.alpha}: {res.coverage:.4f} "
           f"({args.reps} replications) -> {out}")
     return 0

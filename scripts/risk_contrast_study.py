@@ -7,9 +7,9 @@ maximum is outlier-dominated.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
+from bayesinv.csvio import write_csv
 from bayesinv.inverse_regression import estimator_risk_experiment
 
 
@@ -28,11 +28,8 @@ def main() -> int:
                                     args.x_true, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "x_classical", "x_inverse"])
-        for i in range(args.reps):
-            writer.writerow([i, repr(float(res.x_classical[i])), repr(float(res.x_inverse[i]))])
+    write_csv(out, ["replication", "x_classical", "x_inverse"],
+              zip(range(args.reps), res.x_classical, res.x_inverse))
     print(f"inverse-estimator MSE first-half/full: "
           f"{res.mse_inverse_half / res.mse_inverse_full:.3f}")
     print(f"classical estimator max|x_C| / median|x_C|: "

@@ -10,7 +10,6 @@ built-in defaults. See FORMATS.md for the CSV column contracts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import fd_priors, forward_ops, gp_rkhs, inverse_regression, linear_posterior
-from . import spline as spline_mod
+from .csvio import read_csv, write_csv
 
 FORWARD_KERNELS = ("deblur", "seismic", "gravity", "diffraction", "groundwater")
 PRIOR_NAMES = ("smooth-interior", "smooth-zero", "smooth-soft", "nonsmooth")
@@ -78,14 +77,6 @@ class ExperimentConfig:
     seed: int
     output_dir: Path
     params: dict = field(default_factory=dict)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -153,10 +144,8 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
     xs = op.col_grid.nodes
-    _write_csv(cfg.output_dir / "truth.csv", ["x", "theta_true"],
-               [(float(a), float(b)) for a, b in zip(xs, truth)])
-    _write_csv(cfg.output_dir / "data.csv", ["x", "y"],
-               [(float(a), float(b)) for a, b in zip(op.row_grid.nodes, y)])
+    write_csv(cfg.output_dir / "truth.csv", ["x", "theta_true"], zip(xs, truth))
+    write_csv(cfg.output_dir / "data.csv", ["x", "y"], zip(op.row_grid.nodes, y))
     linear_posterior.export_posterior_bands(post, str(cfg.output_dir / "posterior.csv"))
     rmse_map = float(np.sqrt(np.mean((post.mean - truth) ** 2)))
     rmse_data = float(np.sqrt(np.mean((y - truth) ** 2)))
@@ -185,7 +174,8 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
     p = cfg.params
     kernel = _gp_kernel(p)
     if p["data"] is not None:
-        xs, ys = _read_xy_csv(Path(p["data"]))
+        # the C-order copy keeps each column contiguous for the BLAS calls
+        xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()
     else:
         rng = np.random.default_rng(cfg.seed)
         xs = np.sort(rng.uniform(0.02, 0.98, int(p["n"])))
@@ -201,8 +191,7 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
     _write_manifest(cfg)
     grid = np.linspace(0.0, 1.0, int(p["num_pred"]))
     gp_rkhs.export_gp_curve(fit, grid, str(cfg.output_dir / "curve.csv"))
-    _write_csv(cfg.output_dir / "data.csv", ["x", "y"],
-               [(float(a), float(b)) for a, b in zip(xs, ys)])
+    write_csv(cfg.output_dir / "data.csv", ["x", "y"], zip(xs, ys))
     _write_json(
         cfg.output_dir / "summary.json",
         {
@@ -213,22 +202,10 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
     )
 
 
-def _read_xy_csv(path: Path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["x", "y"]:
-            raise ValueError(f"{path}: expected header columns 'x,y'")
-        rows = [(float(r[0]), float(r[1])) for r in reader]
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
-    return xs, ys
-
-
 def cmd_calibrate(cfg: ExperimentConfig) -> None:
     p = cfg.params
     if p["data"] is not None:
-        xs, ys = _read_xy_csv(Path(p["data"]))
+        xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()
         if p["ynew"] is None:
             raise ValueError("--ynew is required when --data is given")
         y_new = np.array([float(v) for v in str(p["ynew"]).split(",")])
@@ -254,7 +231,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
         "f_stat": est.f_stat if math.isfinite(est.f_stat) else "inf",
     }
     if data.m == 1:
-        cset = inverse_regression.confidence_set(est, data.n, p["level"])
+        cset = inverse_regression.confidence_set(est, p["level"])
         payload["confidence_set"] = {
             "kind": cset.kind,
             "lower": cset.lower,
@@ -275,8 +252,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
         lo, hi = posterior.window
         grid = np.linspace(lo, hi, int(p["curve_points"]))
         dens = posterior.pdf(grid)
-        _write_csv(cfg.output_dir / "posterior.csv", ["x", "density"],
-                   [(float(a), float(b)) for a, b in zip(grid, dens)])
+        write_csv(cfg.output_dir / "posterior.csv", ["x", "density"], zip(grid, dens))
         payload["posterior_integral"] = float(np.trapezoid(dens, grid))
         payload["posterior_mean"] = posterior.mean()
     else:
@@ -291,7 +267,7 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> None:
     rows = inverse_regression.inconsistency_experiment(p["theta"], n_values, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
-    _write_csv(
+    write_csv(
         cfg.output_dir / "table.csv",
         ["n", "posterior_sd", "x_true"],
         [(row.n, row.posterior_sd, row.x_true) for row in rows],
@@ -301,10 +277,10 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> None:
         hi = row.posterior.exact_mean + 6.0 * row.posterior_sd
         grid = np.linspace(lo, hi, int(p["curve_points"]))
         dens = row.posterior.pdf(grid)
-        _write_csv(
+        write_csv(
             cfg.output_dir / f"density_n{row.n}.csv",
             ["x", "density", "x_true"],
-            [(float(a), float(b), row.x_true) for a, b in zip(grid, dens)],
+            ((a, b, row.x_true) for a, b in zip(grid, dens)),
         )
     _write_json(
         cfg.output_dir / "summary.json",

@@ -8,11 +8,12 @@ differences, and jump variants down-weight selected increments.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .csvio import read_csv, write_csv
 
 __all__ = [
     "PrecisionRoot",
@@ -165,17 +166,13 @@ def save_precision_root(root: PrecisionRoot, basepath: str) -> None:
     }
     with open(basepath + ".json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
-    with open(basepath + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in root.matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(basepath + ".csv", None, root.matrix)
 
 
 def load_precision_root(basepath: str) -> PrecisionRoot:
     with open(basepath + ".json") as fh:
         header = json.load(fh)
-    with open(basepath + ".csv", newline="") as fh:
-        mat = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+    mat = read_csv(basepath + ".csv")
     params = header["params"]
     if "jumps" in params:
         params["jumps"] = [(int(i), float(x)) for i, x in params["jumps"]]

@@ -7,12 +7,13 @@ spacing (left-endpoint quadrature). Observations follow y = K theta + noise.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .csvio import read_csv, write_csv
 
 __all__ = [
     "Grid",
@@ -203,17 +204,13 @@ def save_operator(op: ForwardOperator, basepath: str) -> None:
     }
     with open(basepath + ".json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
-    with open(basepath + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in op.matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(basepath + ".csv", None, op.matrix)
 
 
 def load_operator(basepath: str) -> ForwardOperator:
     with open(basepath + ".json") as fh:
         header = json.load(fh)
-    with open(basepath + ".csv", newline="") as fh:
-        mat = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+    mat = read_csv(basepath + ".csv")
     row_grid = Grid(**header["row_grid"])
     col_grid = Grid(**header["col_grid"])
     return ForwardOperator(mat, row_grid, col_grid, header["kernel_tag"], header["params"])

@@ -8,7 +8,6 @@ Kernels with a known eigen-system under the uniform measure on [0, 1] carry
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -16,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, interpolate, linalg
 
-from .spline import spline_kernel
+from .csvio import write_csv
+from .spline import integrated_wiener_cov
 
 __all__ = [
     "CovarianceKernel",
@@ -100,12 +100,15 @@ def brownian_motion_kernel() -> CovarianceKernel:
 
 
 def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
-    """Cubic-spline covariance variance * (|x-x'| v^2/2 + v^3/3), v = min."""
+    """Cubic-spline covariance variance * (|x-x'| v^2/2 + v^3/3), v = min.
+
+    This is the once-integrated Wiener covariance (l = 1) scaled by variance.
+    """
     if variance <= 0:
         raise ValueError(f"variance must be positive, got {variance}")
 
     def evaluate(x, xp):
-        return variance * spline_kernel(x, xp)
+        return variance * integrated_wiener_cov(1, x, xp)
 
     return CovarianceKernel(evaluate, "spline_cubic", {"variance": variance})
 
@@ -355,8 +358,4 @@ def export_gp_curve(fit: GPRegressionFit, xs, path: str) -> None:
     """CSV of (x, mean, sd) over the given grid."""
     xs = np.asarray(xs, dtype=float)
     means, variances = gp_predict_curve(fit, xs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "mean", "sd"])
-        for x, m, v in zip(xs, means, variances):
-            writer.writerow([repr(float(x)), repr(float(m)), repr(math.sqrt(v))])
+    write_csv(path, ["x", "mean", "sd"], zip(xs, means, np.sqrt(variances)))

@@ -157,7 +157,7 @@ class ConfidenceSet:
         return x <= self.lower or x >= self.upper
 
 
-def confidence_set(est: CalibrationEstimates, n: int, alpha: float) -> ConfidenceSet:
+def confidence_set(est: CalibrationEstimates, alpha: float) -> ConfidenceSet:
     """Invert the calibration t test into one of three set shapes.
 
     Large F gives a bounded interval, moderate F the complement of an
@@ -167,6 +167,7 @@ def confidence_set(est: CalibrationEstimates, n: int, alpha: float) -> Confidenc
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if est.m != 1:
         raise ValueError(f"the confidence set is defined for m = 1, got m = {est.m}")
+    n = est.n
     f = est.f_stat
     xc = est.x_classical
     fcrit = float(stats.f.ppf(1.0 - alpha, 1, n - 2))
@@ -406,8 +407,10 @@ def hoadley_t_posterior(est: CalibrationEstimates, n: int):
     """Closed-form posterior under the informative prior, for m = 1.
 
     Returns (location, scale, df): the posterior of x is
-    location + scale * t_df.
+    location + scale * t_df. ``n`` must equal ``est.n``.
     """
+    if n != est.n:
+        raise ValueError(f"sample size n = {n} does not match the estimates' n = {est.n}")
     if est.m != 1:
         raise ValueError(f"the t-form posterior requires m = 1, got m = {est.m}")
     f = est.f_stat
@@ -570,7 +573,7 @@ def coverage_experiment(
     for rep in range(n_reps):
         data = simulate_calibration(n, 1, alpha_true, beta_true, sigma, x_true, [seed, rep])
         est = fit_calibration(data)
-        cset = confidence_set(est, n, alpha)
+        cset = confidence_set(est, alpha)
         covered[rep] = cset.contains(x_true)
         xc[rep] = est.x_classical
         xi[rep] = est.x_inverse

@@ -7,12 +7,12 @@ Hessian of the regularized misfit is the posterior covariance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
 
+from .csvio import write_csv
 from .fd_priors import (
     NONSMOOTH,
     SMOOTH_INTERIOR,
@@ -147,8 +147,5 @@ def export_posterior_bands(post: GaussianPosterior, path: str) -> None:
     """CSV of (x, mean, lower, upper) with +-2 posterior standard deviations."""
     sd = np.sqrt(np.diag(posterior_covariance(post)))
     xs = post.operator.col_grid.nodes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "mean", "lower", "upper"])
-        for x, m, s in zip(xs, post.mean, sd):
-            writer.writerow([repr(float(x)), repr(float(m)), repr(float(m - 2 * s)), repr(float(m + 2 * s))])
+    write_csv(path, ["x", "mean", "lower", "upper"],
+              zip(xs, post.mean, post.mean - 2 * sd, post.mean + 2 * sd))

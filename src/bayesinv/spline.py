@@ -1,20 +1,26 @@
-"""Cubic smoothing splines as Gaussian-process posterior means.
+"""Smoothing splines of order m = 1, 2, 3 as Gaussian-process posterior means.
 
-The process prior is an integrated Wiener process plus a polynomial trend
-whose coefficients get a vague prior; the vague limit is taken exactly via
-generalized least squares. The resulting posterior mean is the classical
-smoothing spline: piecewise cubic between knots, linear outside them.
+The process prior is the (m-1)-fold integrated Wiener process plus a
+polynomial trend of degree m-1 whose coefficients get a vague prior; the
+vague limit is taken exactly via generalized least squares. The resulting
+posterior mean is the classical smoothing spline of order m (cubic for the
+default m = 2: piecewise cubic between knots, linear outside them).
+
+All three orders share one closed-form covariance (Wecker & Ansley 1983): the
+l-fold integrated Wiener process on [0, 1] has, with v = min(x, x'),
+
+    k_l(x, x') = sum_{j=0..l} C(l, j) |x - x'|^(l-j) v^(l+j+1) / ((l+j+1) (l!)^2).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy import linalg
+
+from .csvio import write_csv
 
 __all__ = [
     "SplineFit",
@@ -36,34 +42,32 @@ def _check_unit_interval(*values):
 def spline_kernel(x, x_prime):
     """Covariance |x-x'| v^2/2 + v^3/3 with v = min(x, x'), on [0, 1]^2.
 
-    Equals the integral of (x-u)_+ (x'-u)_+ over u in [0, 1]; broadcasts.
+    Equals the integral of (x-u)_+ (x'-u)_+ over u in [0, 1]: the l = 1 case
+    of integrated_wiener_cov. Broadcasts.
     """
-    _check_unit_interval(x, x_prime)
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(x_prime, dtype=float)
-    v = np.minimum(x, xp)
-    out = np.abs(x - xp) * v * v / 2.0 + v**3 / 3.0
-    return float(out) if out.ndim == 0 else out
+    return integrated_wiener_cov(1, x, x_prime)
 
 
-def integrated_wiener_cov(l: int, x: float, x_prime: float) -> float:
+def integrated_wiener_cov(l: int, x, x_prime):
     """Covariance of the l-fold integrated Wiener process at (x, x').
 
-    Exact polynomial integration of (x-u)_+^l (x'-u)_+^l / (l!)^2 over [0, 1];
-    l = 0 gives min(x, x') and l = 1 matches spline_kernel.
+    The integral of (x-u)_+^l (x'-u)_+^l / (l!)^2 over u in [0, 1], in the
+    closed form of the module docstring. Broadcasts x against x_prime and
+    returns a float for scalar input; l = 0 gives min(x, x').
     """
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"fold count l must be a non-negative integer, got {l}")
     _check_unit_interval(x, x_prime)
-    v = min(x, x_prime)
-    if v <= 0.0:
-        return 0.0
-    p = npoly.polymul(
-        npoly.polypow([x, -1.0], l),
-        npoly.polypow([x_prime, -1.0], l),
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(x_prime, dtype=float)
+    v = np.minimum(x, xp)
+    d = np.abs(x - xp)
+    scale = math.factorial(l) ** 2
+    out = sum(
+        math.comb(l, j) * d ** (l - j) * v ** (l + j + 1) / ((l + j + 1) * scale)
+        for j in range(l + 1)
     )
-    antider = npoly.polyint(p)
-    return float(npoly.polyval(v, antider)) / math.factorial(l) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def _poly_basis(x, m_order: int) -> np.ndarray:
@@ -101,13 +105,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
         raise ValueError("sigma2 and sigma2_theta must be positive")
     if m_order not in (1, 2, 3):
         raise ValueError(f"polynomial order m must be 1, 2 or 3, got {m_order}")
-    n = x.shape[0]
-    if m_order == 2:
-        kmat = spline_kernel(x[:, None], x[None, :])
-    else:
-        l = m_order - 1
-        kmat = np.array([[integrated_wiener_cov(l, xi, xj) for xj in x] for xi in x])
-    khat = sigma2_theta * kmat + sigma2 * np.eye(n)
+    kmat = integrated_wiener_cov(m_order - 1, x[:, None], x[None, :])
+    khat = sigma2_theta * kmat + sigma2 * np.eye(x.shape[0])
     try:
         chol = linalg.cho_factor(khat, lower=True)
     except linalg.LinAlgError as exc:
@@ -122,15 +121,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
 
 def spline_predict(fit: SplineFit, x_star):
     """Posterior-mean prediction h(x*)^T beta + s(x*)^T Khat^(-1)(y - H beta)."""
-    _check_unit_interval(x_star)
     xs = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if fit.m_order == 2:
-        s = fit.sigma2_theta * spline_kernel(xs[:, None], fit.x_train[None, :])
-    else:
-        l = fit.m_order - 1
-        s = fit.sigma2_theta * np.array(
-            [[integrated_wiener_cov(l, xi, xj) for xj in fit.x_train] for xi in xs]
-        )
+    s = fit.sigma2_theta * integrated_wiener_cov(fit.m_order - 1, xs[:, None], fit.x_train[None, :])
     vals = _poly_basis(xs, fit.m_order) @ fit.beta_hat + s @ fit.coefficients
     return float(vals[0]) if np.isscalar(x_star) or np.asarray(x_star).ndim == 0 else vals
 
@@ -141,8 +133,5 @@ def export_spline_curve(fit: SplineFit, path: str, num: int = 201) -> None:
     xs = np.unique(np.concatenate([grid, fit.x_train]))
     fitted = spline_predict(fit, xs)
     knots = set(float(v) for v in fit.x_train)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "fitted", "is_knot"])
-        for xv, fv in zip(xs, fitted):
-            writer.writerow([repr(float(xv)), repr(float(fv)), int(float(xv) in knots)])
+    write_csv(path, ["x", "fitted", "is_knot"],
+              ((xv, fv, int(float(xv) in knots)) for xv, fv in zip(xs, fitted)))

@@ -1,6 +1,9 @@
+import csv
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,20 @@ def read_json(path):
 
 def run_cli(args):
     return cli.main(args)
+
+
+def documented_csv_headers():
+    """{command: [(file-name regex, columns)]} from the tables in FORMATS.md."""
+    text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+    headers = {}
+    for section in text.split("\n## ")[1:]:
+        command, _, body = section.partition("\n")
+        rows = re.findall(r"^\| `([^`]+\.csv)` \| `([^`]+)`", body, flags=re.M)
+        headers[command.strip()] = [
+            (re.escape(name).replace("<N>", r"\d+"), [c.strip() for c in cols.split(",")])
+            for name, cols in rows
+        ]
+    return headers
 
 
 class TestDemoLinear:
@@ -83,6 +100,13 @@ class TestGP:
         beta_off = smat @ np.linalg.solve(fit_sp.khat, y)
         gp_at_knots = np.array([gr.gp_predict(fit_gp, float(v))[0] for v in x])
         assert np.abs(gp_at_knots - beta_off).max() < 1e-8
+
+    def test_wrong_data_header_rejected(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("a,b\n0.1,0.2\n0.5,0.3\n")
+        code = run_cli(["gp", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "x,y" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = run_cli(["gp", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -193,3 +217,27 @@ class TestInconsistency:
         code = run_cli(["inconsistency", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo-linear", "--n", "30", "--seed", "2"],
+    ["gp", "--kernel", "spline", "--n", "12", "--num-pred", "21", "--seed", "3"],
+    ["calibrate", "--n", "15", "--curve-points", "51", "--seed", "0"],
+    ["inconsistency", "--n-values", "100,1000", "--curve-points", "32", "--seed", "1"],
+])
+def test_csv_outputs_follow_documented_contract(tmp_path, argv):
+    # every cell is an integer literal or a float written with repr, and
+    # every CSV carries the header FORMATS.md documents for it
+    out = tmp_path / "run"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    documented = documented_csv_headers()[argv[0]]
+    written = sorted(out.glob("*.csv"))
+    assert all(any(re.fullmatch(p, f.name) for f in written) for p, _ in documented)
+    for path in written:
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        expected = [cols for pattern, cols in documented if re.fullmatch(pattern, path.name)]
+        assert expected == [header], path.name
+        assert rows
+        for cell in (cell for row in rows for cell in row):
+            assert re.fullmatch(r"-?\d+", cell) or repr(float(cell)) == cell, (path.name, cell)

@@ -84,7 +84,7 @@ class TestConfidenceSet:
     def test_small_f_gives_whole_line(self):
         est = ir.fit_calibration(ir.simulate_calibration(15, 1, 0.0, 0.01, 5.0, 0.5, seed=3))
         assert est.f_stat < 1.0
-        cset = ir.confidence_set(est, 15, 0.05)
+        cset = ir.confidence_set(est, 0.05)
         assert cset.kind == "whole_line"
         assert cset.uninformative
         assert cset.contains(123.4)
@@ -95,7 +95,7 @@ class TestConfidenceSet:
         forced = ir.CalibrationData(data.x, data.y, np.array([data.y.mean()]))
         est = ir.fit_calibration(forced)
         assert abs(est.x_classical) < 1e-12
-        cset = ir.confidence_set(est, 20, 0.05)
+        cset = ir.confidence_set(est, 0.05)
         assert cset.kind == "interval"
         assert_allclose(cset.lower, -cset.upper, atol=1e-10)
         assert not cset.uninformative
@@ -104,7 +104,7 @@ class TestConfidenceSet:
         found = False
         for seed in range(400):
             est = ir.fit_calibration(ir.simulate_calibration(10, 1, 0.0, 0.6, 1.0, 1.0, seed=seed))
-            cset = ir.confidence_set(est, 10, 0.05)
+            cset = ir.confidence_set(est, 0.05)
             if cset.kind == "complement":
                 found = True
                 assert cset.lower < cset.upper
@@ -123,12 +123,12 @@ class TestConfidenceSet:
     def test_alpha_validation(self):
         est = ir.fit_calibration(ir.simulate_calibration(10, 1, 0.0, 2.0, 1.0, 0.5, seed=0))
         with pytest.raises(ValueError, match="alpha"):
-            ir.confidence_set(est, 10, 1.5)
+            ir.confidence_set(est, 1.5)
 
     def test_requires_single_new_response(self):
         est = ir.fit_calibration(ir.simulate_calibration(10, 3, 0.0, 2.0, 1.0, 0.5, seed=0))
         with pytest.raises(ValueError, match="m = 1"):
-            ir.confidence_set(est, 10, 0.05)
+            ir.confidence_set(est, 0.05)
 
 
 class TestHoadleyPosterior:
@@ -199,6 +199,11 @@ class TestHoadleyTPosterior:
         est = ir.CalibrationEstimates(0, 0, 0, 0, 0, 0, 1.0, None, 1.0, 0.0, 10, 1)
         with pytest.raises(ValueError, match="F = 0"):
             ir.hoadley_t_posterior(est, 10)
+
+    def test_mismatched_n_rejected(self):
+        est = ir.fit_calibration(ir.simulate_calibration(15, 1, 1.0, 2.0, 1.0, 0.7, seed=1))
+        with pytest.raises(ValueError, match="n = 14"):
+            ir.hoadley_t_posterior(est, 14)
 
 
 class TestPoissonXval:
