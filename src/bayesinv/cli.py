@@ -181,12 +181,10 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
         xs = np.sort(rng.uniform(0.02, 0.98, int(p["n"])))
         ys = np.sin(2.0 * math.pi * xs) + p["sigma"] * rng.standard_normal(xs.size)
     fit = gp_rkhs.gp_fit(xs, ys, kernel, p["sigma"])
-    # representer identity: the predictive mean against an explicit sum
-    resid = 0.0
-    for xv in xs:
-        mean, _ = gp_rkhs.gp_predict(fit, float(xv))
-        explicit = float(sum(c * kernel.evaluate(float(xv), xt) for c, xt in zip(fit.coefficients, xs)))
-        resid = max(resid, abs(mean - explicit))
+    # representer identity: predictive means against exactly rounded sum_j c_j K(x_i, x_j)
+    means, _ = gp_rkhs.gp_predict_curve(fit, xs)
+    terms = kernel.evaluate(xs[:, None], xs[None, :]) * fit.coefficients
+    resid = float(np.max(np.abs(means - [math.fsum(row) for row in terms])))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
     grid = np.linspace(0.0, 1.0, int(p["num_pred"]))
@@ -216,20 +214,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
             p["sigma_true"], p["x_true"], cfg.seed,
         )
     est = inverse_regression.fit_calibration(data)
-    payload = {
-        "n": data.n,
-        "m": data.m,
-        "alpha_hat": est.alpha_hat,
-        "beta_hat": est.beta_hat,
-        "gamma_hat": est.gamma_hat,
-        "delta_hat": est.delta_hat,
-        "x_classical": est.x_classical,
-        "x_inverse": est.x_inverse,
-        "sigma2_1": est.sigma2_1,
-        "sigma2_2": est.sigma2_2,
-        "sigma2_pooled": est.sigma2_pooled,
-        "f_stat": est.f_stat if math.isfinite(est.f_stat) else "inf",
-    }
+    payload = dict(vars(est), f_stat=est.f_stat if math.isfinite(est.f_stat) else "inf")
     if data.m == 1:
         cset = inverse_regression.confidence_set(est, p["level"])
         payload["confidence_set"] = {

@@ -51,7 +51,7 @@ class PrecisionRoot:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", mat)
-        if self.tilde_sigma <= 0:
+        if not self.tilde_sigma > 0:
             raise ValueError(f"tilde_sigma must be positive, got {self.tilde_sigma}")
 
     @property
@@ -91,21 +91,17 @@ def build_smooth_soft_boundary(n: int, tilde_sigma: float = 1.0) -> PrecisionRoo
 
     delta^2 is set to 1 / e_mid^T (Lz^T Lz)^(-1) e_mid computed from the
     zero-boundary variant, so the boundary prior variance matches the
-    mid-grid variance of the zero-boundary prior.
+    mid-grid variance of the zero-boundary prior. With T = 2 Lz and
+    k = n//2 + 1 (1-based), that variance is 4 ||T^(-1) e_k||^2 where
+    T^(-1)[i, k] = min(i, k) (n + 1 - max(i, k)) / (n + 1), summed exactly.
     """
     if n < 3:
         raise ValueError(f"soft-boundary prior needs n >= 3, got {n}")
-    lz = build_smooth_zero_boundary(n).matrix
-    gram = lz.T @ lz
-    mid = n // 2
-    e_mid = np.zeros(n)
-    e_mid[mid] = 1.0
-    try:
-        mid_var = np.linalg.solve(gram, e_mid)[mid]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - Lz is nonsingular
-        raise np.linalg.LinAlgError("zero-boundary Gram matrix is singular") from exc
+    k = n // 2 + 1
+    squares = lambda t: t * (t + 1) * (2 * t + 1)  # 6 * (1^2 + ... + t^2)
+    mid_var = 4 * ((n + 1 - k) ** 2 * squares(k) + k**2 * squares(n - k)) / (6 * (n + 1) ** 2)
     delta = 1.0 / np.sqrt(mid_var)
-    mat = lz.copy()
+    mat = build_smooth_zero_boundary(n).matrix
     mat[0, :] = 0.0
     mat[0, 0] = delta
     mat[-1, :] = 0.0

@@ -169,18 +169,11 @@ def custom_kernel(fn: Callable, tag: str = "custom", params: dict | None = None)
 
 
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:
-    """Gram matrix with entry (i, j) = evaluate(points[i], points[j])."""
+    """Gram matrix evaluate(points[i], points[j]) of points shaped (n,) or (n, d)."""
     points = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    if points.ndim == 1:
-        return np.asarray(kernel.evaluate(points[:, None], points[None, :]), dtype=float)
-    n = points.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = kernel.evaluate(points[i], points[j])
-    return out
+    return np.asarray(kernel.evaluate(points[:, None], points[None, :]), dtype=float)
 
 
 def nystrom_eigen(kernel: CovarianceKernel, n: int, count: int, seed: int):

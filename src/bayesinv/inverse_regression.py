@@ -12,13 +12,14 @@ sum x_i = 0 and sum x_i^2 = n; ``simulate_calibration`` produces such designs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize, stats
-from scipy.special import betaln
+from scipy.special import betaln, fdtri
 
 __all__ = [
     "CalibrationData",
@@ -68,6 +69,9 @@ def make_calibration_data(x, y, y_new) -> CalibrationData:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
+    for name, v in (("x", x), ("y", y), ("y_new", y_new)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.shape[0] < 3:
@@ -100,38 +104,51 @@ def fit_calibration(data: CalibrationData) -> CalibrationEstimates:
     sigma2_2 (spread of the new responses) exists only for m >= 2; with m = 1
     the pooled variance carries the training residuals alone.
     """
-    x, y, y_new = data.x, data.y, data.y_new
-    n, m = data.n, data.m
-    xb, yb = x.mean(), y.mean()
-    sxx = float(np.sum((x - xb) ** 2))
-    syy = float(np.sum((y - yb) ** 2))
-    sxy = float(np.sum((x - xb) * (y - yb)))
+    return _rows(_fit_rows(data.x, data.y[None], data.y_new[None]))[0]
+
+
+def _fit_rows(x: np.ndarray, y: np.ndarray, y_new: np.ndarray) -> CalibrationEstimates:
+    """``fit_calibration`` of the datasets (x, y[k], y_new[k]), its float fields
+    holding arrays over k; any degenerate dataset raises."""
+    n, m = x.size, y_new.shape[1]
+    xb, yb = x.mean(), y.mean(axis=1)
+    dx, dy = x - xb, y - yb[:, None]
+    sxx = float(np.sum(dx**2))
+    syy = np.sum(dy**2, axis=1)
+    sxy = np.sum(dx * dy, axis=1)
     if sxx <= 0:
         raise ValueError("degenerate data: zero variance in the covariates x")
-    if syy <= 0:
+    if np.any(syy <= 0):
         raise ValueError("degenerate data: zero variance in the responses y")
     beta_hat = sxy / sxx
     alpha_hat = yb - beta_hat * xb
     delta_hat = sxy / syy
     gamma_hat = xb - delta_hat * yb
-    if beta_hat == 0:
+    if np.any(beta_hat == 0):
         raise ValueError("degenerate data: zero estimated slope")
-    ynb = float(y_new.mean())
+    ynb = y_new.mean(axis=1)
     x_classical = (ynb - alpha_hat) / beta_hat
     x_inverse = gamma_hat + delta_hat * ynb
-    rss = float(np.sum((y - alpha_hat - beta_hat * x) ** 2))
-    sigma2_1 = rss / (n - 2)
+    sigma2_1 = np.sum((y - alpha_hat[:, None] - beta_hat[:, None] * x) ** 2, axis=1) / (n - 2)
     if m >= 2:
-        sigma2_2 = float(np.sum((y_new - ynb) ** 2)) / (m - 1)
+        sigma2_2 = np.sum((y_new - ynb[:, None]) ** 2, axis=1) / (m - 1)
         pooled = ((n - 2) * sigma2_1 + (m - 1) * sigma2_2) / (n - 2 + m - 1)
     else:
         sigma2_2 = None
         pooled = sigma2_1
-    f_stat = n * beta_hat**2 / pooled if pooled > 0 else math.inf
+    with np.errstate(divide="ignore"):  # zero pooled variance: F = inf
+        f_stat = n * beta_hat**2 / pooled
     return CalibrationEstimates(
         alpha_hat, beta_hat, gamma_hat, delta_hat, x_classical, x_inverse,
         sigma2_1, sigma2_2, pooled, f_stat, n, m,
     )
+
+
+def _rows(batch: CalibrationEstimates) -> list[CalibrationEstimates]:
+    """The datasets of a ``_fit_rows`` batch, each with float fields."""
+    *fields, n, m = vars(batch).values()
+    cols = [itertools.repeat(None) if v is None else v.tolist() for v in fields]
+    return [CalibrationEstimates(*row, n, m) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +187,7 @@ def confidence_set(est: CalibrationEstimates, alpha: float) -> ConfidenceSet:
     n = est.n
     f = est.f_stat
     xc = est.x_classical
-    fcrit = float(stats.f.ppf(1.0 - alpha, 1, n - 2))
+    fcrit = float(fdtri(1, n - 2, 1.0 - alpha))
     if math.isinf(f):
         # perfect fit: the set collapses onto the classical estimate
         return ConfidenceSet("interval", xc, xc, alpha)
@@ -532,14 +549,22 @@ def simulate_calibration(
     sigma: float,
     x_true: float,
     seed,
-    x_design: Optional[np.ndarray] = None,
 ) -> CalibrationData:
-    """Draw a calibration dataset; the default design is standardized."""
-    rng = np.random.default_rng(seed)
-    x = standardized_design(n) if x_design is None else np.asarray(x_design, dtype=float)
-    y = alpha_true + beta_true * x + sigma * rng.standard_normal(n)
-    y_new = alpha_true + beta_true * x_true + sigma * rng.standard_normal(m)
-    return make_calibration_data(x, y, y_new)
+    """Draw a calibration dataset on the standardized design; the stream
+    default_rng(seed) gives the n training noises, then the m new ones."""
+    x = standardized_design(n)
+    y, y_new = _draw(x, m, alpha_true, beta_true, sigma, x_true, [seed])
+    return make_calibration_data(x, y[0], y_new[0])
+
+
+def _draw(x, m, alpha_true, beta_true, sigma, x_true, seeds):
+    """Responses y (k, n) on the design x and y_new (k, m) at x_true, dataset k
+    from n + m standard normals of default_rng(seeds[k]) drawn in one call."""
+    n = x.size
+    rows = [np.random.default_rng(s).standard_normal(n + m) for s in seeds]
+    z = np.reshape(rows, (len(seeds), n + m))
+    return (alpha_true + beta_true * x + sigma * z[:, :n],
+            alpha_true + beta_true * x_true + sigma * z[:, n:])
 
 
 @dataclass(frozen=True)
@@ -560,24 +585,20 @@ def coverage_experiment(
     alpha: float,
     x_true: float,
     seed: int,
-    alpha_true: float = 0.0,
 ) -> CoverageResult:
     """Empirical coverage of the confidence set over replications (m = 1).
 
-    Each replication uses the stream (seed, replication index), so the run
-    parallelizes and aggregation is order-independent.
+    Replication r is ``simulate_calibration(n, 1, 0.0, beta_true, sigma,
+    x_true, [seed, r])``: its own stream, so batching and order do not matter.
     """
-    covered = np.zeros(n_reps, dtype=bool)
-    xc = np.empty(n_reps)
-    xi = np.empty(n_reps)
-    for rep in range(n_reps):
-        data = simulate_calibration(n, 1, alpha_true, beta_true, sigma, x_true, [seed, rep])
-        est = fit_calibration(data)
-        cset = confidence_set(est, alpha)
-        covered[rep] = cset.contains(x_true)
-        xc[rep] = est.x_classical
-        xi[rep] = est.x_inverse
-    return CoverageResult(float(covered.mean()), covered, xc, xi, alpha, x_true)
+    x = standardized_design(n)
+    seeds = [[seed, rep] for rep in range(n_reps)]
+    # the fit sees the design centered, as make_calibration_data leaves it
+    batch = _fit_rows(x - x.mean(), *_draw(x, 1, 0.0, beta_true, sigma, x_true, seeds))
+    sets = [confidence_set(est, alpha) for est in _rows(batch)]
+    covered = np.array([cset.contains(x_true) for cset in sets], dtype=bool)
+    return CoverageResult(float(covered.mean()), covered, batch.x_classical, batch.x_inverse,
+                          alpha, x_true)
 
 
 @dataclass(frozen=True)
@@ -598,26 +619,21 @@ def estimator_risk_experiment(
     n: int,
     x_true: float,
     seed: int,
-    alpha_true: float = 0.0,
 ) -> RiskResult:
     """Contrast the inverse estimator's stable MSE with the classical
     estimator's heavy tail (its mean squared error is infinite).
 
     Uses a compact design (x on [-1/2, 1/2], not rescaled) so the estimated
     slope crosses zero often enough for the classical estimator's outliers to
-    show up at feasible replication counts.
+    show up at feasible replication counts. Replication r uses the stream
+    default_rng([seed, r]), as in ``coverage_experiment``.
     """
-    design = np.linspace(-0.5, 0.5, n)
-    design = design - design.mean()
-    xc = np.empty(n_reps)
-    xi = np.empty(n_reps)
-    for rep in range(n_reps):
-        data = simulate_calibration(
-            n, 1, alpha_true, beta_true, sigma, x_true, [seed, rep], x_design=design
-        )
-        est = fit_calibration(data)
-        xc[rep] = est.x_classical
-        xi[rep] = est.x_inverse
+    x = np.linspace(-0.5, 0.5, n)
+    x = x - x.mean()
+    seeds = [[seed, rep] for rep in range(n_reps)]
+    # centered once more, as make_calibration_data does
+    batch = _fit_rows(x - x.mean(), *_draw(x, 1, 0.0, beta_true, sigma, x_true, seeds))
+    xc, xi = batch.x_classical, batch.x_inverse
     half = n_reps // 2
     mse_half = float(np.mean((xi[:half] - x_true) ** 2))
     mse_full = float(np.mean((xi - x_true) ** 2))

@@ -43,6 +43,16 @@ class TestGram:
             assert np.abs(g - g.T).max() < 1e-12
             assert np.linalg.eigvalsh(g).min() >= -1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_vector_points_match_per_pair_evaluation(self, d):
+        # oracle: the per-pair loop gram() used for (n, d) points
+        kern = gr.squared_exponential_kernel(0.4, d=d)
+        pts = np.random.default_rng(d).uniform(-1.0, 1.0, (9, d))
+        expect = np.array([[kern.evaluate(p, q) for q in pts] for p in pts])
+        g = gr.gram(kern, pts)
+        assert g.shape == (9, 9)
+        assert_allclose(g, expect, rtol=1e-15, atol=0)
+
 
 class TestNystrom:
     def test_brownian_top_eigenvalue(self):

@@ -26,6 +26,14 @@ class TestCalibrationData:
         with pytest.raises(ValueError, match="new response"):
             ir.make_calibration_data([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [])
 
+    @pytest.mark.parametrize("name", ["x", "y", "y_new"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.0, 2.5], "y_new": [1.0]}
+        args[name] = [bad] + args[name][1:]
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ir.make_calibration_data(**args)
+
 
 class TestFitCalibration:
     def test_hand_computed_line(self):
@@ -73,6 +81,23 @@ class TestFitCalibration:
         r2 = np.corrcoef(data.x, data.y)[0, 1] ** 2
         assert_allclose(est.delta_hat * est.beta_hat, r2, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=40)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 3]), st.integers(3, 12), st.integers(1, 6))
+    def test_batch_fit_equals_single_fits(self, seed, m, n, k):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        y = 0.7 * x + rng.standard_normal((k, n))
+        y_new = rng.standard_normal((k, m))
+        rows = ir._rows(ir._fit_rows(x, y, y_new))
+        assert rows == [ir.fit_calibration(ir.CalibrationData(x, y[r], y_new[r])) for r in range(k)]
+        assert all(type(v) in (float, int) for est in rows for v in vars(est).values() if v is not None)
+
+    def test_degenerate_row_in_batch_raises(self):
+        x = ir.standardized_design(5)
+        y = np.vstack([x, np.ones(5)])
+        with pytest.raises(ValueError, match="zero variance in the responses y"):
+            ir._fit_rows(x, y, np.zeros((2, 1)))
+
     def test_degenerate_data(self):
         with pytest.raises(ValueError, match="covariates"):
             ir.fit_calibration(ir.CalibrationData(np.zeros(4), np.arange(4.0), np.array([1.0])))
@@ -119,6 +144,15 @@ class TestConfidenceSet:
             n_reps=1500, beta_true=5.0, sigma=1.0, n=30, alpha=0.05, x_true=1.0, seed=77
         )
         assert 0.93 <= res.coverage <= 0.97
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.5])
+    def test_critical_value_is_the_f_quantile(self, alpha):
+        # F exactly at the critical value gives the whole line; one ulp off it
+        # gives an interval or an interval's complement
+        for n in range(3, 200, 7):
+            fcrit = float(stats.f.ppf(1.0 - alpha, 1, n - 2))
+            est = ir.CalibrationEstimates(0, 1, 0, 0, 0.3, 0.2, 1.0, None, 1.0, fcrit, n, 1)
+            assert ir.confidence_set(est, alpha).kind == "whole_line", (n, alpha)
 
     def test_alpha_validation(self):
         est = ir.fit_calibration(ir.simulate_calibration(10, 1, 0.0, 2.0, 1.0, 0.5, seed=0))
@@ -311,3 +345,62 @@ def test_standardized_design_moments():
     x = ir.standardized_design(23)
     assert abs(x.sum()) < 1e-10
     assert_allclose(np.sum(x * x), 23.0, rtol=1e-12)
+
+
+def reference_replicates(design, beta_true, sigma, x_true, n_reps, seed):
+    """The per-replicate loop the batched harnesses replaced: draw with
+    alpha_true = 0 (n training noises, then one new-response noise, from the
+    stream (seed, rep)), fit, and build the confidence set, one replicate at
+    a time."""
+    n = design.size
+    sets, xc, xi = [], np.empty(n_reps), np.empty(n_reps)
+    for rep in range(n_reps):
+        rng = np.random.default_rng([seed, rep])
+        y = 0.0 + beta_true * design + sigma * rng.standard_normal(n)
+        y_new = 0.0 + beta_true * x_true + sigma * rng.standard_normal(1)
+        est = ir.fit_calibration(ir.make_calibration_data(design, y, y_new))
+        sets.append(ir.confidence_set(est, 0.05))
+        xc[rep], xi[rep] = est.x_classical, est.x_inverse
+    return sets, xc, xi
+
+
+@pytest.mark.parametrize("seed,n,n_reps", [(123, 30, 400), (7, 5, 250), (2024, 20, 300), (0, 3, 50)])
+def test_coverage_experiment_matches_per_replicate_loop(seed, n, n_reps):
+    sets, xc, xi = reference_replicates(ir.standardized_design(n), 2.0, 1.0, 0.4, n_reps, seed)
+    res = ir.coverage_experiment(n_reps, 2.0, 1.0, n, 0.05, 0.4, seed)
+    covered = np.array([cset.contains(0.4) for cset in sets])
+    assert res.covered.tobytes() == covered.tobytes()
+    assert res.x_classical.tobytes() == xc.tobytes()
+    assert res.x_inverse.tobytes() == xi.tobytes()
+    assert res.coverage == covered.mean()
+
+
+@pytest.mark.parametrize("seed,n,n_reps", [(2024, 20, 400), (5, 4, 300), (11, 9, 120)])
+def test_risk_experiment_matches_per_replicate_loop(seed, n, n_reps):
+    design = np.linspace(-0.5, 0.5, n)
+    design = design - design.mean()
+    _, xc, xi = reference_replicates(design, 1.0, 1.0, 0.5, n_reps, seed)
+    res = ir.estimator_risk_experiment(n_reps, 1.0, 1.0, n, 0.5, seed)
+    assert res.x_classical.tobytes() == xc.tobytes()
+    assert res.x_inverse.tobytes() == xi.tobytes()
+    assert res.mse_inverse_full == float(np.mean((xi - 0.5) ** 2))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_simulate_calibration_draws_training_then_new_noise(m):
+    x = ir.standardized_design(9)
+    rng = np.random.default_rng(31)
+    y = 0.2 + 1.5 * x + 0.8 * rng.standard_normal(9)
+    y_new = 0.2 + 1.5 * 0.6 + 0.8 * rng.standard_normal(m)
+    data = ir.simulate_calibration(9, m, 0.2, 1.5, 0.8, 0.6, 31)
+    assert data.y.tobytes() == y.tobytes() and data.y_new.tobytes() == y_new.tobytes()
+    assert data.x.tobytes() == ir.make_calibration_data(x, y, y_new).x.tobytes()
+
+
+def test_removed_parameters_rejected():
+    with pytest.raises(TypeError, match="x_design"):
+        ir.simulate_calibration(10, 1, 0.0, 1.0, 1.0, 0.5, 0, x_design=np.linspace(-1, 1, 10))
+    with pytest.raises(TypeError, match="alpha_true"):
+        ir.coverage_experiment(10, 5.0, 1.0, 30, 0.05, 1.0, 0, alpha_true=0.0)
+    with pytest.raises(TypeError, match="alpha_true"):
+        ir.estimator_risk_experiment(10, 1.0, 1.0, 20, 0.5, 0, alpha_true=0.0)
