@@ -22,11 +22,9 @@ from . import __version__
 from . import fd_priors, forward_ops, gp_rkhs, inverse_regression, linear_posterior
 from .csvio import read_csv, write_csv
 
-FORWARD_KERNELS = ("deblur", "seismic", "gravity", "diffraction", "groundwater")
-PRIOR_NAMES = ("smooth-interior", "smooth-zero", "smooth-soft", "nonsmooth")
-GP_KERNELS = ("ou", "sqexp", "brownian", "spline")
-TRUTHS = ("smooth", "step")
-
+# Each command's parameters and their defaults: the manifest's params, the
+# config-file keys, and the flags (--a-b sets a_b; the type is the default's,
+# str where it is None; selectors take the keys of their SELECTORS table).
 DEFAULTS = {
     "demo-linear": {
         "kernel": "deblur",
@@ -69,6 +67,8 @@ DEFAULTS = {
         "curve_points": 512,
     },
 }
+# settings every command takes, as a flag or a config key, outside the params
+RUN_DEFAULTS = {"seed": 0, "out": None}
 
 
 @dataclass
@@ -97,48 +97,50 @@ def _write_manifest(cfg: ExperimentConfig) -> None:
     )
 
 
-def _truth_function(name: str, grid: forward_ops.Grid) -> np.ndarray:
-    u = (grid.nodes - grid.a) / (grid.b - grid.a)
-    if name == "smooth":
-        return np.sin(2.0 * math.pi * u)
-    return np.where(u < 0.5, 0.2, 1.0)
+def _grid(a: float, b: float, p: dict) -> forward_ops.Grid:
+    return forward_ops.Grid(a, b, int(p["n"]))
 
 
-def _build_operator(cfg: ExperimentConfig):
-    p = cfg.params
-    name = p["kernel"]
-    n = int(p["n"])
-    if name == "deblur":
-        grid = forward_ops.Grid(0.0, 1.0, n)
-        return forward_ops.make_gaussian_blur(grid, p["psi"])
-    if name == "seismic":
-        grid = forward_ops.Grid(0.0, 1.0, n)
-        return forward_ops.make_travel_time(grid)
-    if name == "gravity":
-        grid = forward_ops.Grid(-5.0, 5.0, n)
-        return forward_ops.make_gravity(grid, p["height"])
-    if name == "diffraction":
-        grid = forward_ops.Grid(-math.pi / 2.0, math.pi / 2.0, n)
-        return forward_ops.make_diffraction(grid)
-    grid = forward_ops.Grid(0.0, p["t_max"], n)
-    return forward_ops.make_groundwater(grid, p["diffusion"], p["velocity"], p["x_obs"], p["t_max"])
-
-
-def _build_prior(name: str, n: int, tilde_sigma: float) -> fd_priors.PrecisionRoot:
-    builders = {
-        "smooth-interior": fd_priors.build_smooth_interior,
-        "smooth-zero": fd_priors.build_smooth_zero_boundary,
-        "smooth-soft": fd_priors.build_smooth_soft_boundary,
-        "nonsmooth": fd_priors.build_nonsmooth,
-    }
-    return builders[name](n, tilde_sigma)
+# name -> builder, one table per selector parameter; the CLI's choices come
+# from these keys, in this order
+OPERATORS = {
+    "deblur": lambda p: forward_ops.make_gaussian_blur(_grid(0.0, 1.0, p), p["psi"]),
+    "seismic": lambda p: forward_ops.make_travel_time(_grid(0.0, 1.0, p)),
+    "gravity": lambda p: forward_ops.make_gravity(_grid(-5.0, 5.0, p), p["height"]),
+    "diffraction": lambda p: forward_ops.make_diffraction(_grid(-math.pi / 2.0, math.pi / 2.0, p)),
+    "groundwater": lambda p: forward_ops.make_groundwater(
+        _grid(0.0, p["t_max"], p), p["diffusion"], p["velocity"], p["x_obs"], p["t_max"]
+    ),
+}
+PRIORS = {
+    "smooth-interior": fd_priors.build_smooth_interior,
+    "smooth-zero": fd_priors.build_smooth_zero_boundary,
+    "smooth-soft": fd_priors.build_smooth_soft_boundary,
+    "nonsmooth": fd_priors.build_nonsmooth,
+}
+# truths take the grid nodes mapped onto [0, 1]
+TRUTHS = {
+    "smooth": lambda u: np.sin(2.0 * math.pi * u),
+    "step": lambda u: np.where(u < 0.5, 0.2, 1.0),
+}
+GP_KERNELS = {
+    "ou": lambda p: gp_rkhs.ou_kernel(p["b"]),
+    "sqexp": lambda p: gp_rkhs.squared_exponential_kernel(p["b"]),
+    "brownian": lambda p: gp_rkhs.brownian_motion_kernel(),
+    "spline": lambda p: gp_rkhs.spline_cubic_kernel(p["variance"]),
+}
+SELECTORS = {
+    "demo-linear": {"kernel": OPERATORS, "prior": PRIORS, "truth": TRUTHS},
+    "gp": {"kernel": GP_KERNELS},
+}
 
 
 def cmd_demo_linear(cfg: ExperimentConfig) -> None:
     p = cfg.params
-    op = _build_operator(cfg)
-    prior = _build_prior(p["prior"], op.col_grid.n, p["tilde_sigma"])
-    truth = _truth_function(p["truth"], op.col_grid)
+    op = OPERATORS[p["kernel"]](p)
+    grid = op.col_grid
+    prior = PRIORS[p["prior"]](grid.n, p["tilde_sigma"])
+    truth = TRUTHS[p["truth"]]((grid.nodes - grid.a) / (grid.b - grid.a))
     y = forward_ops.simulate_data(op, truth, p["sigma"], cfg.seed)
     post = linear_posterior.fit(op, prior, y, p["sigma"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -159,20 +161,9 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> None:
     )
 
 
-def _gp_kernel(p: dict) -> gp_rkhs.CovarianceKernel:
-    name = p["kernel"]
-    if name == "ou":
-        return gp_rkhs.ou_kernel(p["b"])
-    if name == "sqexp":
-        return gp_rkhs.squared_exponential_kernel(p["b"])
-    if name == "brownian":
-        return gp_rkhs.brownian_motion_kernel()
-    return gp_rkhs.spline_cubic_kernel(p["variance"])
-
-
 def cmd_gp(cfg: ExperimentConfig) -> None:
     p = cfg.params
-    kernel = _gp_kernel(p)
+    kernel = GP_KERNELS[p["kernel"]](p)
     if p["data"] is not None:
         # the C-order copy keeps each column contiguous for the BLAS calls
         xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()
@@ -279,6 +270,12 @@ HANDLERS = {
     "calibrate": cmd_calibrate,
     "inconsistency": cmd_inconsistency,
 }
+HELP = {
+    "demo-linear": "simulate, fit, and export a linear inverse problem",
+    "gp": "Gaussian-process regression on supplied or simulated data",
+    "calibrate": "inverse linear regression estimates and posteriors",
+    "inconsistency": "posterior non-contraction table and curves",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,84 +285,60 @@ def build_parser() -> argparse.ArgumentParser:
         "Bayesian inverse problems and inverse regression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--config", type=str, default=None)
-
-    sp = sub.add_parser("demo-linear", help="simulate, fit, and export a linear inverse problem")
-    common(sp)
-    sp.add_argument("--kernel", choices=FORWARD_KERNELS, default=None)
-    sp.add_argument("--prior", choices=PRIOR_NAMES, default=None)
-    sp.add_argument("--truth", choices=TRUTHS, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--sigma", type=float, default=None)
-    sp.add_argument("--tilde-sigma", dest="tilde_sigma", type=float, default=None)
-    sp.add_argument("--psi", type=float, default=None)
-    sp.add_argument("--height", type=float, default=None)
-    sp.add_argument("--diffusion", type=float, default=None)
-    sp.add_argument("--velocity", type=float, default=None)
-    sp.add_argument("--x-obs", dest="x_obs", type=float, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
-
-    sp = sub.add_parser("gp", help="Gaussian-process regression on supplied or simulated data")
-    common(sp)
-    sp.add_argument("--kernel", choices=GP_KERNELS, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--variance", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--sigma", type=float, default=None)
-    sp.add_argument("--data", type=str, default=None)
-    sp.add_argument("--num-pred", dest="num_pred", type=int, default=None)
-
-    sp = sub.add_parser("calibrate", help="inverse linear regression estimates and posteriors")
-    common(sp)
-    sp.add_argument("--data", type=str, default=None)
-    sp.add_argument("--ynew", type=str, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--alpha-true", dest="alpha_true", type=float, default=None)
-    sp.add_argument("--beta-true", dest="beta_true", type=float, default=None)
-    sp.add_argument("--sigma-true", dest="sigma_true", type=float, default=None)
-    sp.add_argument("--x-true", dest="x_true", type=float, default=None)
-    sp.add_argument("--level", type=float, default=None)
-    sp.add_argument("--curve-points", dest="curve_points", type=int, default=None)
-
-    sp = sub.add_parser("inconsistency", help="posterior non-contraction table and curves")
-    common(sp)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--n-values", dest="n_values", type=str, default=None)
-    sp.add_argument("--curve-points", dest="curve_points", type=int, default=None)
-
+    for command, params in DEFAULTS.items():
+        sp = sub.add_parser(command, help=HELP[command])
+        tables = SELECTORS.get(command, {})
+        # --config names the file of settings; it is not a setting itself
+        for key, default in {**RUN_DEFAULTS, "config": None, **params}.items():
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=str if default is None else type(default),
+                choices=tables.get(key),
+            )
     return parser
+
+
+def _check_config_value(key: str, value, default, table) -> None:
+    """Accept a config-file value exactly where its flag would accept it."""
+    if table is not None:
+        expected, ok = "one of " + ", ".join(table), isinstance(value, str) and value in table
+    elif isinstance(default, float):
+        expected, ok = "a number", isinstance(value, (int, float))
+    elif isinstance(default, int):
+        expected, ok = "an integer", isinstance(value, int)
+    elif default is None:
+        expected, ok = "a string or null", value is None or isinstance(value, str)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"config key '{key}': expected {expected}, got {json.dumps(value)}")
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     command = args.command
-    params = dict(DEFAULTS[command])
-    seed = 0
-    out = None
+    settings = {**RUN_DEFAULTS, **DEFAULTS[command]}
     if args.config is not None:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        seed = int(file_cfg.pop("seed", seed))
-        out = file_cfg.pop("out", out)
-        unknown = set(file_cfg) - set(params)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} is not a JSON object")
+        unknown = set(file_cfg) - set(settings)
         if unknown:
             raise ValueError(f"unknown config keys for '{command}': {sorted(unknown)}")
-        params.update(file_cfg)
-    for key in params:
-        cli_val = getattr(args, key, None)
+        tables = SELECTORS.get(command, {})
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, settings[key], tables.get(key))
+        settings.update(file_cfg)
+    for key in settings:
+        cli_val = getattr(args, key)
         if cli_val is not None:
-            params[key] = cli_val
-    if args.seed is not None:
-        seed = args.seed
-    if args.out is not None:
-        out = args.out
+            settings[key] = cli_val
+    seed = settings.pop("seed")
+    out = settings.pop("out")
     if out is None:
         out = f"runs/{command}"
-    return ExperimentConfig(command, seed, Path(out), params)
+    return ExperimentConfig(command, seed, Path(out), settings)
 
 
 def main(argv=None) -> int:

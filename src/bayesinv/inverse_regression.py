@@ -249,11 +249,13 @@ class Density1D:
         k = int(np.argmax(vals))
         return float(xs[k]), float(vals[k])
 
-    def _piece(self, lo: float, hi: float) -> float:
+    def _integral(self, lo: float, hi: float, weight: Optional[Callable] = None) -> float:
+        """Integral of weight(t) exp(log_density(t) - shift) over [lo, hi]."""
         if hi <= lo:
             return 0.0
         f = lambda t: math.exp(min(self.log_density(t) - self._shift, 700.0))
-        val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+        g = f if weight is None else (lambda t: weight(t) * f(t))
+        val, _ = integrate.quad(g, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
         return val
 
     def _normalize(self, center: float) -> None:
@@ -264,17 +266,23 @@ class Density1D:
             left = max(lo, center - width)
             right = min(hi, center + width)
             _, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
-            mass = self._piece(left, center) + self._piece(center, right)
+            if self._shift == -math.inf:
+                raise ValueError(
+                    "normalization failed: could not locate the mode (the log-density is "
+                    f"-inf at every point scanned on [{left:g}, {right:g}]); pass a "
+                    "center_hint near the mode"
+                )
+            mass = self._integral(left, center) + self._integral(center, right)
             converged = False
             for _ in range(_MAX_EXPANSIONS):
                 shell = 0.0
                 if left > lo:
                     new_left = max(lo, center - 2.0 * (center - left))
-                    shell += self._piece(new_left, left)
+                    shell += self._integral(new_left, left)
                     left = new_left
                 if right < hi:
                     new_right = min(hi, center + 2.0 * (right - center))
-                    shell += self._piece(right, new_right)
+                    shell += self._integral(right, new_right)
                     right = new_right
                 mass += shell
                 done_left = left <= lo
@@ -315,18 +323,15 @@ class Density1D:
         out = np.zeros(xs.shape)
         lo, hi = self.support
         for i, v in enumerate(xs):
-            if lo < v < hi or lo == v or hi == v:
+            if lo <= v <= hi:
                 ld = self.log_density(float(v))
                 out[i] = math.exp(ld - self._shift) / self._mass if np.isfinite(ld) else 0.0
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def _window_integral(self, fn: Callable[[float], float]) -> float:
+    def _expectation(self, weight: Callable[[float], float]) -> float:
         left, right = self.window
         mid = 0.5 * (left + right)
-        g = lambda t: fn(t) * math.exp(min(self.log_density(t) - self._shift, 700.0))
-        a, _ = integrate.quad(g, left, mid, epsabs=1e-13, epsrel=1e-11, limit=200)
-        b, _ = integrate.quad(g, mid, right, epsabs=1e-13, epsrel=1e-11, limit=200)
-        return (a + b) / self._mass
+        return (self._integral(left, mid, weight) + self._integral(mid, right, weight)) / self._mass
 
     def cdf(self, x: float) -> float:
         left, right = self.window
@@ -334,18 +339,18 @@ class Density1D:
             return 0.0
         if x >= right:
             return 1.0
-        val = self._piece(left, min(x, right)) / self._mass
+        val = self._integral(left, min(x, right)) / self._mass
         return min(max(val, 0.0), 1.0)
 
     def mean(self) -> float:
         if self._mean is None:
-            self._mean = self._window_integral(lambda t: t)
+            self._mean = self._expectation(lambda t: t)
         return self._mean
 
     def variance(self) -> float:
         if self._variance is None:
             mu = self.mean()
-            self._variance = self._window_integral(lambda t: (t - mu) ** 2)
+            self._variance = self._expectation(lambda t: (t - mu) ** 2)
         return self._variance
 
     def sd(self) -> float:
@@ -591,6 +596,8 @@ def coverage_experiment(
     Replication r is ``simulate_calibration(n, 1, 0.0, beta_true, sigma,
     x_true, [seed, r])``: its own stream, so batching and order do not matter.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
     x = standardized_design(n)
     seeds = [[seed, rep] for rep in range(n_reps)]
     # the fit sees the design centered, as make_calibration_data leaves it
@@ -628,6 +635,9 @@ def estimator_risk_experiment(
     show up at feasible replication counts. Replication r uses the stream
     default_rng([seed, r]), as in ``coverage_experiment``.
     """
+    if n_reps < 2:
+        # the first half is compared with the whole
+        raise ValueError(f"n_reps must be at least 2, got {n_reps}")
     x = np.linspace(-0.5, 0.5, n)
     x = x - x.mean()
     seeds = [[seed, rep] for rep in range(n_reps)]

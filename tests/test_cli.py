@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -241,3 +242,109 @@ def test_csv_outputs_follow_documented_contract(tmp_path, argv):
         assert rows
         for cell in (cell for row in rows for cell in row):
             assert re.fullmatch(r"-?\d+", cell) or repr(float(cell)) == cell, (path.name, cell)
+
+
+def flag_surface(parser):
+    """{command: [(option, dest, type name, choices)]}; argparse's default
+    type (None) leaves the string as it is, so it is reported as str."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [(a.option_strings[-1], a.dest, a.type.__name__ if a.type else "str",
+                   tuple(a.choices) if a.choices else None)
+                  for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        for command, sp in sub.choices.items()
+    }
+
+
+def test_flag_surface_is_unchanged():
+    run = [("--seed", "seed", "int", None), ("--out", "out", "str", None),
+           ("--config", "config", "str", None)]
+    assert flag_surface(cli.build_parser()) == {
+        "demo-linear": run + [
+            ("--kernel", "kernel", "str",
+             ("deblur", "seismic", "gravity", "diffraction", "groundwater")),
+            ("--prior", "prior", "str",
+             ("smooth-interior", "smooth-zero", "smooth-soft", "nonsmooth")),
+            ("--truth", "truth", "str", ("smooth", "step")),
+            ("--n", "n", "int", None),
+            ("--sigma", "sigma", "float", None),
+            ("--tilde-sigma", "tilde_sigma", "float", None),
+            ("--psi", "psi", "float", None),
+            ("--height", "height", "float", None),
+            ("--diffusion", "diffusion", "float", None),
+            ("--velocity", "velocity", "float", None),
+            ("--x-obs", "x_obs", "float", None),
+            ("--t-max", "t_max", "float", None),
+        ],
+        "gp": run + [
+            ("--kernel", "kernel", "str", ("ou", "sqexp", "brownian", "spline")),
+            ("--b", "b", "float", None),
+            ("--variance", "variance", "float", None),
+            ("--n", "n", "int", None),
+            ("--sigma", "sigma", "float", None),
+            ("--data", "data", "str", None),
+            ("--num-pred", "num_pred", "int", None),
+        ],
+        "calibrate": run + [
+            ("--data", "data", "str", None),
+            ("--ynew", "ynew", "str", None),
+            ("--n", "n", "int", None),
+            ("--m", "m", "int", None),
+            ("--alpha-true", "alpha_true", "float", None),
+            ("--beta-true", "beta_true", "float", None),
+            ("--sigma-true", "sigma_true", "float", None),
+            ("--x-true", "x_true", "float", None),
+            ("--level", "level", "float", None),
+            ("--curve-points", "curve_points", "int", None),
+        ],
+        "inconsistency": run + [
+            ("--theta", "theta", "float", None),
+            ("--n-values", "n_values", "str", None),
+            ("--curve-points", "curve_points", "int", None),
+        ],
+    }
+
+
+@pytest.mark.parametrize("command,file_cfg,message", [
+    ("demo-linear", {"kernel": "banana"}, "config key 'kernel'"),
+    ("gp", {"kernel": "banana"}, "config key 'kernel'"),
+    ("demo-linear", {"prior": "banana"}, "config key 'prior'"),
+    ("demo-linear", {"sigma": "0.1"}, "config key 'sigma'"),
+    ("demo-linear", {"n": 20.5}, "config key 'n'"),
+    ("demo-linear", {"n": True}, "config key 'n'"),
+    ("demo-linear", {"seed": "abc"}, "config key 'seed'"),
+    ("demo-linear", {"out": 5}, "config key 'out'"),
+    ("demo-linear", [1, 2], "not a JSON object"),
+])
+def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, command,
+                                                             file_cfg, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integer_for_float_parameter_kept_as_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 2, "n_values": "100,1000", "curve_points": 16}))
+    out = tmp_path / "inc"
+    assert run_cli(["inconsistency", "--config", str(cfg), "--out", str(out)]) == 0
+    theta = read_json(out / "manifest.json")["params"]["theta"]
+    assert theta == 2 and isinstance(theta, int)
+
+
+def readme_cli_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("bayesinv ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = readme_cli_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(cli.DEFAULTS)
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

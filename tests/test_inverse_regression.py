@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestHoadleyPosterior:
     def test_flat_prior_not_normalizable(self, data):
         with pytest.raises(ValueError, match="normalization failed"):
             ir.hoadley_posterior(data, ir.flat_prior)
+
+    def test_flat_prior_reported_not_integrable(self, data):
+        with pytest.raises(ValueError, match="not integrable"):
+            ir.hoadley_posterior(data, ir.flat_prior)
+
+    def test_prior_far_from_likelihood_reports_missed_mode(self, data):
+        # N(40, 0.1^2) underflows to zero on the whole first scan around
+        # x ~ 0.7: that is a missed mode, not a non-integrable density
+        prior = lambda x: float(stats.norm.pdf(x, 40.0, 0.1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="mode") as exc:
+                ir.hoadley_posterior(data, prior)
+        assert "center_hint" in str(exc.value)
+        assert not [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
 
     def test_likelihood_argmax_is_finite(self, data):
         # oracle: numerical maximization of L(x)
@@ -395,6 +411,17 @@ def test_simulate_calibration_draws_training_then_new_noise(m):
     data = ir.simulate_calibration(9, m, 0.2, 1.5, 0.8, 0.6, 31)
     assert data.y.tobytes() == y.tobytes() and data.y_new.tobytes() == y_new.tobytes()
     assert data.x.tobytes() == ir.make_calibration_data(x, y, y_new).x.tobytes()
+
+
+def test_coverage_experiment_rejects_no_replicates():
+    with pytest.raises(ValueError, match="n_reps"):
+        ir.coverage_experiment(0, 5.0, 1.0, 30, 0.05, 1.0, 0)
+
+
+@pytest.mark.parametrize("n_reps", [0, 1])
+def test_risk_experiment_needs_two_replicates(n_reps):
+    with pytest.raises(ValueError, match="n_reps"):
+        ir.estimator_risk_experiment(n_reps, 1.0, 1.0, 20, 0.5, 0)
 
 
 def test_removed_parameters_rejected():
