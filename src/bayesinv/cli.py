@@ -10,6 +10,7 @@ built-in defaults. See FORMATS.md for the CSV column contracts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -278,6 +279,7 @@ HELP = {
 }
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayesinv",

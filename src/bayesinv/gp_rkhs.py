@@ -221,12 +221,15 @@ class GPRegressionFit:
 
 def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     """Solve (K + sigma^2 I) c = y; attaches a conditioning flag to the fit."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
+    for name, v in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if np.unique(x).size != x.size:
         raise ValueError("training inputs must be distinct")
     kmat = gram(kernel, x) + sigma**2 * np.eye(x.size)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, stats
-from scipy.special import betaln, fdtri
+from scipy import integrate, optimize
+from scipy.special import betaln, fdtri, poch
 
 __all__ = [
     "CalibrationData",
@@ -360,7 +360,18 @@ class Density1D:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must lie in (0, 1), got {p}")
         left, right = self.window
-        return float(optimize.brentq(lambda t: self.cdf(t) - p, left, right, xtol=1e-12))
+        # unnormalized mass on [left, t] at every t evaluated so far; a new
+        # point integrates only the gap to its nearest known neighbour
+        mass = {left: 0.0, right: self._mass}
+
+        def excess(t: float) -> float:
+            if t not in mass:
+                near = min(mass, key=lambda k: abs(k - t))
+                gap = self._integral(near, t) if t > near else -self._integral(t, near)
+                mass[t] = mass[near] + gap
+            return mass[t] / self._mass - p
+
+        return float(optimize.brentq(excess, left, right, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +391,16 @@ def hoadley_informative_prior(n: int) -> Callable[[float], float]:
     if n < 4:
         raise ValueError(f"informative prior needs n >= 4, got {n}")
     scale = math.sqrt((n + 1) / (n - 3))
-    df = n - 3
+    df = np.float64(n - 3)
+    # scipy.stats.t's log-density with the same numpy ufuncs in the same
+    # order, so each value equals stats.t.pdf(x / scale, df) / scale exactly
+    # (math.exp and math.log1p round differently in a few percent of values)
+    const = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+    power = (df + 1) / 2
 
     def prior(x: float) -> float:
-        return float(stats.t.pdf(x / scale, df) / scale)
+        z = np.float64(x / scale)
+        return float(np.exp(const - power * np.log1p(z * z / df)) / scale)
 
     return prior
 

@@ -56,11 +56,13 @@ def fit(op: ForwardOperator, prior: PrecisionRoot, y: np.ndarray, sigma: float) 
     unconstrained (possible with the rank-deficient smooth-interior prior and
     a rank-deficient operator).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     y = np.asarray(y, dtype=float)
     if y.shape != (op.row_grid.n,):
         raise ValueError(f"y has shape {y.shape}, operator expects ({op.row_grid.n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     if prior.n != op.col_grid.n:
         raise ValueError(
             f"prior acts on {prior.n} nodes but operator has {op.col_grid.n} columns"

@@ -2,7 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -348,3 +351,34 @@ def test_readme_cli_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def fresh_interpreter_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_successive_main_calls_write_what_fresh_calls_write(tmp_path):
+    # the parser is built once per process and shared by every main call
+    argvs = {
+        "gp": ["gp", "--kernel", "sqexp", "--n", "12", "--seed", "3"],
+        "calibrate": ["calibrate", "--n", "10", "--curve-points", "21"],
+    }
+    for name, argv in argvs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / "warm" / name)]) == 0
+    for name, argv in argvs.items():
+        subprocess.run([sys.executable, "-m", "bayesinv.cli", *argv,
+                        "--out", str(tmp_path / "fresh" / name)],
+                       env=fresh_interpreter_env(), check=True, timeout=120)
+        warm = (tmp_path / "warm" / name / "manifest.json").read_bytes()
+        assert warm == (tmp_path / "fresh" / name / "manifest.json").read_bytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bayesinv.cli; print('scipy.stats' in sys.modules)"],
+        env=fresh_interpreter_env(), capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"

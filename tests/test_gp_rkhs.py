@@ -208,6 +208,18 @@ class TestGPRegression:
         with pytest.raises(ValueError, match="distinct"):
             gr.gp_fit(np.array([0.1, 0.1, 0.5]), np.zeros(3), gr.ou_kernel(1.0), 0.1)
 
+    @pytest.mark.parametrize("name, x, y, sigma", [
+        ("x", [0.1, math.nan, 0.5], [0.0, 0.0, 0.0], 0.1),
+        ("x", [0.1, 0.3, math.inf], [0.0, 0.0, 0.0], 0.1),
+        ("y", [0.1, 0.3, 0.5], [0.0, math.nan, 0.0], 0.1),
+        ("y", [0.1, 0.3, 0.5], [-math.inf, 0.0, 0.0], 0.1),
+        ("sigma", [0.1, 0.3, 0.5], [0.0, 0.0, 0.0], math.nan),
+        ("sigma", [0.1, 0.3, 0.5], [0.0, 0.0, 0.0], math.inf),
+    ])
+    def test_non_finite_input_named(self, name, x, y, sigma):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gr.gp_fit(np.array(x), np.array(y), gr.ou_kernel(1.0), sigma)
+
     def test_coefficients_solve_the_system(self):
         rng = np.random.default_rng(6)
         x = np.sort(rng.uniform(0, 1, 9))

@@ -431,3 +431,97 @@ def test_removed_parameters_rejected():
         ir.coverage_experiment(10, 5.0, 1.0, 30, 0.05, 1.0, 0, alpha_true=0.0)
     with pytest.raises(TypeError, match="alpha_true"):
         ir.estimator_risk_experiment(10, 1.0, 1.0, 20, 0.5, 0, alpha_true=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the informative prior and Density1D.quantile against exact forms
+# ---------------------------------------------------------------------------
+
+LEVELS = (0.001, 0.1, 0.5, 0.9, 0.999)
+
+
+def scipy_informative_prior(n, x):
+    scale = math.sqrt((n + 1) / (n - 3))
+    return float(stats.t.pdf(x / scale, n - 3) / scale)
+
+
+@settings(max_examples=200)
+@given(st.integers(4, 400), st.floats(-1e6, 1e6))
+def test_informative_prior_equals_scipy_t_pdf(n, x):
+    assert ir.hoadley_informative_prior(n)(x) == scipy_informative_prior(n, x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 15, 30, 31, 100, 400])
+def test_informative_prior_equals_scipy_t_pdf_on_grid(n):
+    prior = ir.hoadley_informative_prior(n)
+    xs = [*np.linspace(-30.0, 30.0, 401).tolist(), -1e6, -1e3, 1e3, 1e6, -0.0]
+    assert [prior(x) for x in xs] == [scipy_informative_prior(n, x) for x in xs]
+
+
+@pytest.fixture(scope="module")
+def criterion_08_quantiles():
+    """[(estimates, posterior, {p: (quantile, prior calls)})] on the
+    criterion-08 datasets, the prior wrapped in a call counter."""
+    base = ir.hoadley_informative_prior(15)
+    calls = [0]
+
+    def prior(x):
+        calls[0] += 1
+        return base(x)
+
+    cases = []
+    for seed in range(20):
+        data = ir.simulate_calibration(15, 1, 1.0, 2.0, 1.0, 0.7, seed=seed)
+        post = ir.hoadley_posterior(data, prior)
+        quantiles = {}
+        for p in LEVELS:
+            calls[0] = 0
+            quantiles[p] = (post.quantile(p), calls[0])
+        cases.append((ir.fit_calibration(data), post, quantiles))
+    return cases
+
+
+def test_quantile_matches_t_form_on_criterion_08_inputs(criterion_08_quantiles):
+    for est, _, quantiles in criterion_08_quantiles:
+        loc, scale, df = ir.hoadley_t_posterior(est, 15)
+        for p, (q, _) in quantiles.items():
+            assert abs(q - (loc + scale * stats.t.ppf(p, df))) < 1e-11
+
+
+def test_quantile_integrates_only_the_remaining_gap(criterion_08_quantiles):
+    # integrating from the window's left edge at every root-finding step took
+    # up to 4,326 log-density evaluations per quantile on these inputs
+    for _, _, quantiles in criterion_08_quantiles:
+        for p, (_, calls) in quantiles.items():
+            assert calls <= 1500, f"quantile({p}) evaluated the log-density {calls} times"
+
+
+@pytest.mark.parametrize("n", [100, 1000, 100_000])
+def test_quantile_matches_beta_form_on_poisson_posterior(n):
+    # the stock `inconsistency` draws (theta = 1, seed 0, index 9 held out);
+    # x / (x + s) is Beta(y_i + 1, N - y_i) under this posterior
+    rng = np.random.default_rng([0, n])
+    x = rng.uniform(0.5, 1.5, n)
+    y = rng.poisson(x)
+    post = ir.poisson_xval_posterior(x, y, 9)
+    s, total, y_i = float(x.sum() - x[9]), int(y.sum()), int(y[9])
+    for p in LEVELS:
+        u = stats.beta.ppf(p, y_i + 1, total - y_i)
+        expect = s * u / (1 - u)
+        assert abs(post.quantile(p) - expect) < 1e-8 * expect
+
+
+def test_quantile_non_decreasing_in_level(criterion_08_quantiles):
+    _, post, _ = criterion_08_quantiles[0]
+    poisson = ir.inconsistency_experiment(1.0, [1000], seed=0)[0].posterior
+    levels = np.linspace(0.001, 0.999, 61).tolist()
+    for dens in (post, poisson):
+        qs = [dens.quantile(p) for p in levels]
+        assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_quantile_level_outside_unit_interval_rejected(p):
+    dens = ir.Density1D(lambda x: -0.5 * x * x, (-math.inf, math.inf))
+    with pytest.raises(ValueError, match="quantile level"):
+        dens.quantile(p)

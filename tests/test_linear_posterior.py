@@ -107,6 +107,17 @@ class TestFit:
         with pytest.raises(ValueError, match="shape"):
             lp.fit(op, prior, np.zeros(6), sigma=1.0)
 
+    @pytest.mark.parametrize("name, y, sigma", [
+        ("y", [0.0, math.nan, 0.0, 0.0, 0.0], 1.0),
+        ("y", [0.0, 0.0, math.inf, 0.0, 0.0], 1.0),
+        ("sigma", np.zeros(5), math.nan),
+        ("sigma", np.zeros(5), math.inf),
+    ])
+    def test_non_finite_input_named(self, name, y, sigma):
+        op, prior = identity_problem(5)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            lp.fit(op, prior, np.asarray(y), sigma)
+
 
 class TestObjective:
     def test_map_minimizes(self):
