@@ -1,5 +1,7 @@
 """Covariance kernels, Nystrom eigen-approximation, GP regression, and
-kernels induced by differential penalty operators via spectral inversion.
+kernels induced by differential penalty operators via spectral inversion:
+the rational spectrum of sum_m b_m int (theta^(m))^2 inverts exactly as the
+stationary covariance of a linear SDE of order M (its state-space form).
 
 Kernels are value objects with a broadcasting ``evaluate(x, x')`` callable.
 Kernels with a known eigen-system under the uniform measure on [0, 1] carry
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, interpolate, linalg
+from scipy import linalg
 
 from .csvio import write_csv
 from .spline import integrated_wiener_cov
@@ -113,20 +115,12 @@ def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
     return CovarianceKernel(evaluate, "spline_cubic", {"variance": variance})
 
 
-def spectral_numeric_kernel(b, tau_max: float = 4.0, num: int = 2049) -> CovarianceKernel:
-    """Stationary kernel tabulated by numeric spectral inversion of ``b``.
-
-    Evaluation interpolates the tabulation; lags beyond tau_max are an error.
-    """
-    taus = np.linspace(0.0, tau_max, num)
-    vals = spectral_kernel(b, taus)
-    interp = interpolate.CubicSpline(taus, vals)
+def spectral_numeric_kernel(b) -> CovarianceKernel:
+    """Stationary kernel k(x - x') of the penalty coefficients ``b``, exact at every lag."""
+    b = _validate_spectrum_coeffs(b)
 
     def evaluate(x, xp):
-        tau = np.abs(np.asarray(x, dtype=float) - xp)
-        if np.any(tau > tau_max):
-            raise ValueError(f"lag exceeds tabulated range [0, {tau_max}]")
-        return interp(tau)
+        return spectral_kernel(b, np.asarray(x, dtype=float) - xp)
 
     return CovarianceKernel(evaluate, "spectral_numeric", {"b": list(map(float, b))})
 
@@ -245,22 +239,17 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
 
 
 def gp_predict(fit: GPRegressionFit, x_star: float):
-    """Posterior mean and variance at a single point.
+    """Posterior mean and variance at a single point (``gp_predict_curve`` at one point)."""
+    means, variances = gp_predict_curve(fit, [x_star])
+    return float(means[0]), float(variances[0])
+
+
+def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized posterior mean and variance over a grid of points.
 
     The mean is the representer form sum_i c_i K(x*, x_i). The variance is
     clamped to zero within a -1e-10 tolerance; anything lower is an error.
     """
-    s = np.asarray(fit.kernel.evaluate(x_star, fit.x_train), dtype=float)
-    mean = float(s @ fit.coefficients)
-    w = linalg.cho_solve((fit.chol_lower, True), s)
-    var = float(fit.kernel.evaluate(x_star, x_star) - s @ w)
-    if var < -1e-10:
-        raise ValueError(f"predictive variance {var} below the clamping tolerance")
-    return mean, max(var, 0.0)
-
-
-def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior mean and variance over a grid of points."""
     xs = np.asarray(xs, dtype=float)
     smat = np.asarray(fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]), dtype=float)
     means = smat @ fit.coefficients
@@ -288,29 +277,28 @@ def _validate_spectrum_coeffs(b) -> np.ndarray:
     return b
 
 
-def spectral_kernel(b, tau_grid) -> np.ndarray:
-    """Invert the power spectrum [sum_m b_m (4 pi^2 s^2)^m]^(-1) numerically.
+def spectral_kernel(b, tau_grid):
+    """Fourier inverse of the power spectrum [sum_m b_m (4 pi^2 s^2)^m]^(-1), exactly.
 
-    Returns kernel values at the requested lags, computed per lag with
-    adaptive Fourier (cosine-weighted) quadrature over the half line.
+    With P(u) = sum_m b_m u^m of degree M (trailing zeros trimmed), every root
+    u_k lies off [0, inf), so lambda_k = -sqrt(-u_k) has Re lambda_k < 0 and
+    Q(lambda) = prod_k (lambda - lambda_k) is real with P(w^2) = b_M |Q(iw)|^2.
+    With F the companion matrix of Q and P_inf the solution of
+    F P_inf + P_inf F^T + e_M e_M^T / b_M = 0, the kernel is
+    k(tau) = [expm(F |tau|) P_inf]_00. Repeated roots (the Matern spectra)
+    need no special case. Lags of any shape; a scalar lag returns a float.
     """
-    b = _validate_spectrum_coeffs(b)
-    powers = np.arange(b.size)
-
-    def spectrum(s):
-        return 1.0 / np.sum(b * (4.0 * math.pi**2 * s * s) ** powers)
-
-    taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    out = np.empty(taus.shape)
-    for i, tau in enumerate(np.abs(taus)):
-        if tau == 0.0:
-            val, _ = integrate.quad(spectrum, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11)
-        else:
-            val, _ = integrate.quad(
-                spectrum, 0.0, np.inf, weight="cos", wvar=2.0 * math.pi * tau, limlst=200
-            )
-        out[i] = 2.0 * val
-    return out if np.asarray(tau_grid).ndim else float(out[0])
+    b = np.trim_zeros(_validate_spectrum_coeffs(b), "b")
+    order = b.size - 1
+    lam = -np.sqrt(-np.roots(b[::-1]) + 0j)
+    drift = np.eye(order, k=1)
+    drift[-1] = -np.real(np.poly(lam))[:0:-1]
+    noise = np.zeros((order, order))
+    noise[-1, -1] = 1.0 / b[-1]
+    p_inf = linalg.solve_continuous_lyapunov(drift, -noise)
+    taus = np.abs(np.asarray(tau_grid, dtype=float))
+    vals = linalg.expm(taus[..., None, None] * drift)[..., 0, :] @ p_inf[:, 0]
+    return vals if taus.ndim else float(vals)
 
 
 def _difference_stencil(m: int) -> np.ndarray:

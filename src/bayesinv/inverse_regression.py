@@ -333,13 +333,22 @@ class Density1D:
         mid = 0.5 * (left + right)
         return (self._integral(left, mid, weight) + self._integral(mid, right, weight)) / self._mass
 
+    def _mass_to(self, t: float, known: dict) -> float:
+        """Unnormalized mass on [left, t], integrating only the gap from the
+        nearest point of ``known`` (point -> mass), which it extends."""
+        if t not in known:
+            near = min(known, key=lambda k: abs(k - t))
+            gap = self._integral(near, t) if t > near else -self._integral(t, near)
+            known[t] = known[near] + gap
+        return known[t]
+
     def cdf(self, x: float) -> float:
         left, right = self.window
         if x <= left:
             return 0.0
         if x >= right:
             return 1.0
-        val = self._integral(left, min(x, right)) / self._mass
+        val = self._mass_to(x, {left: 0.0, right: self._mass}) / self._mass
         return min(max(val, 0.0), 1.0)
 
     def mean(self) -> float:
@@ -360,17 +369,8 @@ class Density1D:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must lie in (0, 1), got {p}")
         left, right = self.window
-        # unnormalized mass on [left, t] at every t evaluated so far; a new
-        # point integrates only the gap to its nearest known neighbour
-        mass = {left: 0.0, right: self._mass}
-
-        def excess(t: float) -> float:
-            if t not in mass:
-                near = min(mass, key=lambda k: abs(k - t))
-                gap = self._integral(near, t) if t > near else -self._integral(t, near)
-                mass[t] = mass[near] + gap
-            return mass[t] / self._mass - p
-
+        known = {left: 0.0, right: self._mass}
+        excess = lambda t: self._mass_to(t, known) / self._mass - p
         return float(optimize.brentq(excess, left, right, xtol=1e-12))
 
 
@@ -470,9 +470,10 @@ def hoadley_t_posterior(est: CalibrationEstimates, n: int):
 def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
     """Leave-one-out posterior of a Poisson covariate, with exact moments.
 
-    Density x^y_i / (x + s)^(N+1) on (0, inf) with s the sum of the kept
-    covariates and N the total count. Normalizer and moments follow from
-    int_0^inf x^a (x+s)^(-c) dx = s^(a+1-c) B(a+1, c-a-1).
+    Density x^y_i / (1 + x/s)^(N+1) on (0, inf) with s the sum of the kept
+    covariates and N the total count; it is evaluated through log1p(x/s),
+    which keeps full relative precision when N and s are large. Normalizer
+    and moments follow from int_0^inf x^a (1 + x/s)^(-c) dx = s^(a+1) B(a+1, c-a-1).
     """
     x_all = np.asarray(x_all, dtype=float)
     y_all = np.asarray(y_all)
@@ -498,7 +499,7 @@ def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
     def log_density(x: float) -> float:
         if x <= 0:
             return -math.inf
-        return a * math.log(x) - c * math.log(x + s)
+        return a * math.log(x) - c * math.log1p(x / s)
 
     exact_mean = s * (y_i + 1.0) / (n_total - y_i - 1.0)
     if n_total - y_i > 2:
@@ -506,7 +507,7 @@ def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
         exact_variance = ex2 - exact_mean**2
     else:
         exact_variance = math.inf
-    exact_log_norm = (a + 1.0 - c) * math.log(s) + float(betaln(a + 1.0, c - a - 1.0))
+    exact_log_norm = (a + 1.0) * math.log(s) + float(betaln(a + 1.0, c - a - 1.0))
     return Density1D(
         log_density,
         (0.0, math.inf),

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,36 @@ from bayesinv import gp_rkhs as gr
 from bayesinv import linear_posterior as lp
 
 BM_EIGS = np.array([1.0 / ((j - 0.5) ** 2 * math.pi**2) for j in range(1, 9)])
+GP_RKHS = Path(__file__).resolve().parent.parent / "src" / "bayesinv" / "gp_rkhs.py"
+
+
+def _quad_spectral_kernel(b, taus):
+    """Oracle: invert [sum_m b_m (4 pi^2 s^2)^m]^(-1) with one adaptive
+    Fourier (cosine-weighted) quadrature per lag over the half line."""
+    b = np.asarray(b, dtype=float)
+    powers = np.arange(b.size)
+
+    def spectrum(s):
+        return 1.0 / np.sum(b * (4.0 * math.pi**2 * s * s) ** powers)
+
+    out = []
+    for tau in np.abs(np.asarray(taus, dtype=float)):
+        if tau == 0.0:
+            val, _ = integrate.quad(spectrum, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11)
+        else:
+            val, _ = integrate.quad(
+                spectrum, 0.0, np.inf, weight="cos", wvar=2.0 * math.pi * tau, limlst=200
+            )
+        out.append(2.0 * val)
+    return np.array(out)
+
+
+@st.composite
+def spectrum_coeffs(draw):
+    """b_0..b_M with M in 1..4, b_m in [0, 3] and b_0, b_M at least 0.1."""
+    order = draw(st.integers(1, 4))
+    inner = draw(st.lists(st.floats(0.0, 3.0), min_size=order - 1, max_size=order - 1))
+    return [draw(st.floats(0.1, 3.0)), *inner, draw(st.floats(0.1, 3.0))]
 
 
 class TestGram:
@@ -235,9 +267,8 @@ class TestGPRegression:
         base = gr.brownian_motion_kernel()
 
         def lying(x, xp):
-            if np.ndim(x) == 0 and np.ndim(xp) == 0 and x == xp == 0.5:
-                return -1.0
-            return base.evaluate(x, xp)
+            x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+            return np.where((x == 0.5) & (xp == 0.5), -1.0, base.evaluate(x, xp))
 
         kern = gr.custom_kernel(lying)
         fit = gr.gp_fit(np.array([0.2, 0.8]), np.array([1.0, -1.0]), kern, 0.1)
@@ -276,14 +307,63 @@ class TestSpectralKernel:
             gr.spectral_kernel([1.0, 0.0, 0.0], [0.0])
 
     def test_tabulated_kernel_object(self):
-        kern = gr.spectral_numeric_kernel([1.0, 1.0], tau_max=2.0, num=513)
+        kern = gr.spectral_numeric_kernel([1.0, 1.0])
         taus = np.linspace(0, 1.5, 7)
         assert np.abs(kern.evaluate(taus, 0.0) - np.exp(-taus) / 2).max() < 1e-4
         pts = np.linspace(0.05, 0.95, 10)
         g = gr.gram(kern, pts)
         assert np.linalg.eigvalsh(g).min() >= -1e-9
-        with pytest.raises(ValueError, match="lag"):
-            kern.evaluate(0.0, 2.5)
+        for tau in (2.5, 10.0):
+            assert abs(kern.evaluate(0.0, tau) - math.exp(-tau) / 2) < 1e-14
+
+    @settings(max_examples=10, deadline=None)
+    @given(spectrum_coeffs())
+    def test_matches_quadrature_inversion(self, b):
+        taus = np.linspace(-3.0, 3.0, 11)
+        vals = gr.spectral_kernel(b, taus)
+        scale = gr.spectral_kernel(b, 0.0)
+        assert np.abs(vals - _quad_spectral_kernel(b, taus)).max() < 1e-8 * scale
+
+    @pytest.mark.parametrize("b, closed_form", [
+        ([0.25, 1.0], lambda t: np.exp(-0.5 * t)),
+        ([1.0, 1.0], lambda t: np.exp(-t) / 2),
+        ([4.0, 1.0], lambda t: np.exp(-2 * t) / 4),
+        # Matern 3/2 and 5/2: repeated roots of sum_m b_m u^m
+        ([1.0, 2.0, 1.0], lambda t: (1 + t) * np.exp(-t) / 4),
+        ([1.0, 3.0, 3.0, 1.0], lambda t: 3 / 16 * (1 + t + t * t / 3) * np.exp(-t)),
+    ])
+    def test_matches_closed_forms(self, b, closed_form):
+        taus = np.linspace(-3.0, 3.0, 301)
+        vals = gr.spectral_kernel(b, taus)
+        assert np.abs(vals - closed_form(np.abs(taus))).max() < 1e-14
+
+    def test_trailing_zero_coefficients_trimmed(self):
+        taus = np.linspace(0.0, 3.0, 13)
+        assert_allclose(gr.spectral_kernel([1.0, 1.0, 0.0], taus),
+                        gr.spectral_kernel([1.0, 1.0], taus), rtol=1e-15, atol=0)
+
+    def test_lag_shape_preserved(self):
+        taus = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        vals = gr.spectral_kernel([1.0, 0.5, 0.25], taus)
+        assert vals.shape == (2, 3)
+        assert_allclose(vals.ravel(), gr.spectral_kernel([1.0, 0.5, 0.25], taus.ravel()),
+                        rtol=1e-15, atol=0)
+        scalar = gr.spectral_kernel([1.0, 0.5, 0.25], 0.7)
+        assert isinstance(scalar, float)
+        assert scalar == gr.spectral_kernel([1.0, 0.5, 0.25], np.array([0.7]))[0]
+
+    def test_module_has_no_numeric_inversion(self):
+        # the closed form is the only inversion: no quadrature or
+        # interpolation module may return beside it
+        banned = {"scipy.integrate", "scipy.interpolate"}
+        imported = set()
+        for node in ast.walk(ast.parse(GP_RKHS.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert imported & banned == set()
 
 
 class TestPenaltyQuadraticForm:

@@ -511,6 +511,42 @@ def test_quantile_matches_beta_form_on_poisson_posterior(n):
         assert abs(post.quantile(p) - expect) < 1e-8 * expect
 
 
+def test_poisson_quantile_at_full_precision_for_large_n():
+    # c and s are near 1e5 here: c*log(x + s) carries ~2e-10 of absolute
+    # rounding error, enough for ~1e-8 relative in the quantiles; the
+    # log-density must keep full precision through log1p(x/s)
+    n = 100_000
+    rng = np.random.default_rng([0, n])
+    x = rng.uniform(0.5, 1.5, n)
+    y = rng.poisson(x)
+    post = ir.poisson_xval_posterior(x, y, 9)
+    s, total, y_i = float(x.sum() - x[9]), int(y.sum()), int(y[9])
+    for p in (0.5, 0.9, 0.999):
+        u = stats.beta.ppf(p, y_i + 1, total - y_i)
+        expect = s * u / (1 - u)
+        assert abs(post.quantile(p) - expect) < 1e-12 * expect
+
+
+def test_cdf_matches_t_form_on_criterion_08_inputs(criterion_08_quantiles):
+    for est, post, _ in criterion_08_quantiles:
+        loc, scale, df = ir.hoadley_t_posterior(est, 15)
+        for x in np.linspace(loc - 4 * scale, loc + 4 * scale, 9):
+            assert abs(post.cdf(x) - stats.t.cdf((x - loc) / scale, df)) < 1e-12
+
+
+def test_cdf_inverts_quantile(criterion_08_quantiles):
+    for _, post, quantiles in criterion_08_quantiles:
+        for p, (q, _) in quantiles.items():
+            assert abs(post.cdf(q) - p) < 1e-12
+
+
+def test_cdf_is_zero_and_one_outside_the_window(criterion_08_quantiles):
+    _, post, _ = criterion_08_quantiles[0]
+    left, right = post.window
+    assert post.cdf(left - 1.0) == post.cdf(left) == 0.0
+    assert post.cdf(right) == post.cdf(right + 1.0) == 1.0
+
+
 def test_quantile_non_decreasing_in_level(criterion_08_quantiles):
     _, post, _ = criterion_08_quantiles[0]
     poisson = ir.inconsistency_experiment(1.0, [1000], seed=0)[0].posterior
