@@ -39,6 +39,7 @@ from .gp_rkhs import (  # noqa: F401
     gp_fit,
     gp_predict,
     gram,
+    integrated_wiener_cov,
     nystrom_eigen,
     ou_kernel,
     penalty_quadratic_form,
@@ -49,7 +50,6 @@ from .gp_rkhs import (  # noqa: F401
 )
 from .spline import (  # noqa: F401
     SplineFit,
-    integrated_wiener_cov,
     spline_fit,
     spline_kernel,
     spline_predict,

@@ -6,10 +6,17 @@ stationary covariance of a linear SDE of order M (its state-space form).
 Kernels are value objects with a broadcasting ``evaluate(x, x')`` callable.
 Kernels with a known eigen-system under the uniform measure on [0, 1] carry
 ``analytic_eigen(j) -> (lambda_j, psi_j)`` with 1-based index j.
+
+The l-fold integrated Wiener process on [0, 1] (the prior behind every
+smoothing spline and the cubic-spline kernel) has one closed-form covariance
+(Wecker & Ansley 1983): with v = min(x, x'),
+
+    k_l(x, x') = sum_{j=0..l} C(l, j) |x - x'|^(l-j) v^(l+j+1) / ((l+j+1) (l!)^2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -18,7 +25,6 @@ import numpy as np
 from scipy import linalg
 
 from .csvio import write_csv
-from .spline import integrated_wiener_cov
 
 __all__ = [
     "CovarianceKernel",
@@ -27,9 +33,9 @@ __all__ = [
     "squared_exponential_kernel",
     "brownian_motion_kernel",
     "spline_cubic_kernel",
+    "integrated_wiener_cov",
     "spectral_numeric_kernel",
     "matrix_kernel",
-    "custom_kernel",
     "gram",
     "nystrom_eigen",
     "rkhs_norm_truncated",
@@ -101,6 +107,29 @@ def brownian_motion_kernel() -> CovarianceKernel:
     return CovarianceKernel(evaluate, "brownian_motion", {}, analytic_eigen)
 
 
+def integrated_wiener_cov(l: int, x, x_prime):
+    """Covariance of the l-fold integrated Wiener process at (x, x').
+
+    The integral of (x-u)_+^l (x'-u)_+^l / (l!)^2 over u in [0, 1], in the
+    closed form of the module docstring. Broadcasts x against x_prime and
+    returns a float for scalar input; l = 0 gives min(x, x').
+    """
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise ValueError(f"fold count l must be a non-negative integer, got {l}")
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(x_prime, dtype=float)
+    if np.any((x < 0.0) | (x > 1.0)) or np.any((xp < 0.0) | (xp > 1.0)):
+        raise ValueError("arguments must lie in [0, 1]")
+    v = np.minimum(x, xp)
+    d = np.abs(x - xp)
+    scale = math.factorial(l) ** 2
+    out = sum(
+        math.comb(l, j) * d ** (l - j) * v ** (l + j + 1) / ((l + j + 1) * scale)
+        for j in range(l + 1)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
 def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
     """Cubic-spline covariance variance * (|x-x'| v^2/2 + v^3/3), v = min.
 
@@ -158,10 +187,6 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
     return CovarianceKernel(evaluate, "custom", {"kind": "matrix"})
 
 
-def custom_kernel(fn: Callable, tag: str = "custom", params: dict | None = None) -> CovarianceKernel:
-    return CovarianceKernel(fn, tag, params or {})
-
-
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:
     """Gram matrix evaluate(points[i], points[j]) of points shaped (n,) or (n, d)."""
     points = np.asarray(points, dtype=float)
@@ -209,12 +234,20 @@ class GPRegressionFit:
     sigma: float
     coefficients: np.ndarray
     chol_lower: np.ndarray = field(repr=False, default=None)
-    condition_estimate: float = 0.0
-    ill_conditioned: bool = False
+
+    @functools.cached_property
+    def condition_estimate(self) -> float:
+        """Exact 2-norm condition number of K + sigma^2 I; its SVD runs on first read only."""
+        kmat = gram(self.kernel, self.x_train) + self.sigma**2 * np.eye(self.x_train.size)
+        return float(np.linalg.cond(kmat))
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return self.condition_estimate > CONDITION_WARN_THRESHOLD
 
 
 def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
-    """Solve (K + sigma^2 I) c = y; attaches a conditioning flag to the fit."""
+    """Solve (K + sigma^2 I) c = y by Cholesky; the factor is kept on the fit."""
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
@@ -232,10 +265,7 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     except linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
     coef = linalg.cho_solve((chol, True), y)
-    cond = float(np.linalg.cond(kmat))
-    return GPRegressionFit(
-        x, y, kernel, float(sigma), coef, chol, cond, cond > CONDITION_WARN_THRESHOLD
-    )
+    return GPRegressionFit(x, y, kernel, float(sigma), coef, chol)
 
 
 def gp_predict(fit: GPRegressionFit, x_star: float):

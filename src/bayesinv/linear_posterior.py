@@ -38,7 +38,6 @@ class GaussianPosterior:
     hessian: np.ndarray
     mean: np.ndarray
     sigma: float
-    tilde_sigma: float
     operator: ForwardOperator
     prior: PrecisionRoot
     chol_lower: np.ndarray = field(repr=False, default=None)
@@ -70,7 +69,6 @@ def fit(op: ForwardOperator, prior: PrecisionRoot, y: np.ndarray, sigma: float) 
     kmat = op.matrix
     mmat = prior.matrix
     hess = kmat.T @ kmat / sigma**2 + mmat.T @ mmat / prior.tilde_sigma**2
-    hess = 0.5 * (hess + hess.T)
     try:
         chol = linalg.cholesky(hess, lower=True)
     except linalg.LinAlgError as exc:
@@ -80,7 +78,7 @@ def fit(op: ForwardOperator, prior: PrecisionRoot, y: np.ndarray, sigma: float) 
         ) from exc
     rhs = kmat.T @ y / sigma**2
     mean = linalg.cho_solve((chol, True), rhs)
-    return GaussianPosterior(hess, mean, sigma, prior.tilde_sigma, op, prior, chol)
+    return GaussianPosterior(hess, mean, sigma, op, prior, chol)
 
 
 def tikhonov_objective(post: GaussianPosterior, theta: np.ndarray, y: np.ndarray) -> float:
@@ -93,7 +91,8 @@ def tikhonov_objective(post: GaussianPosterior, theta: np.ndarray, y: np.ndarray
         raise ValueError(f"y has shape {y.shape}, expected ({post.operator.row_grid.n},)")
     resid = y - post.operator.matrix @ theta
     pen = post.prior.matrix @ theta
-    return float(resid @ resid / (2.0 * post.sigma**2) + pen @ pen / (2.0 * post.tilde_sigma**2))
+    ts = post.prior.tilde_sigma
+    return float(resid @ resid / (2.0 * post.sigma**2) + pen @ pen / (2.0 * ts**2))
 
 
 def posterior_covariance(post: GaussianPosterior) -> np.ndarray:

@@ -101,9 +101,11 @@ class TestGP:
         fit_gp = gr.gp_fit(x, y, gr.spline_cubic_kernel(sigma2_theta), math.sqrt(sigma2))
         fit_sp = sp.spline_fit(x, y, sigma2, sigma2_theta)
         smat = sigma2_theta * sp.spline_kernel(x[:, None], x[None, :])
-        beta_off = smat @ np.linalg.solve(fit_sp.khat, y)
+        beta_off = smat @ np.linalg.solve(smat + sigma2 * np.eye(x.size), y)
         gp_at_knots = np.array([gr.gp_predict(fit_gp, float(v))[0] for v in x])
         assert np.abs(gp_at_knots - beta_off).max() < 1e-8
+        # the spline's GP stage holds Khat^(-1) y as its coefficients
+        assert np.abs(smat @ fit_sp.gp.coefficients - beta_off).max() < 1e-8
 
     def test_wrong_data_header_rejected(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"

@@ -13,6 +13,7 @@ from bayesinv import fd_priors as fp
 from bayesinv import forward_ops as fo
 from bayesinv import gp_rkhs as gr
 from bayesinv import linear_posterior as lp
+from bayesinv import spline as sp
 
 BM_EIGS = np.array([1.0 / ((j - 0.5) ** 2 * math.pi**2) for j in range(1, 9)])
 GP_RKHS = Path(__file__).resolve().parent.parent / "src" / "bayesinv" / "gp_rkhs.py"
@@ -236,6 +237,22 @@ class TestGPRegression:
         ok = gr.gp_fit(x, np.sin(x), gr.squared_exponential_kernel(0.5), sigma=0.5)
         assert not ok.ill_conditioned
 
+    def test_condition_number_computed_only_when_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit computed a condition number")
+
+        x = np.linspace(0.05, 0.95, 30)
+        y = np.sin(4 * x)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "cond", refuse)
+            patched.setattr(np.linalg, "svd", refuse)
+            gp = gr.gp_fit(x, y, gr.ou_kernel(2.0), 0.1)
+            spline = sp.spline_fit(x, y, 0.01, 1.3).gp
+        eye = np.eye(x.size)
+        assert gp.condition_estimate == np.linalg.cond(gr.gram(gr.ou_kernel(2.0), x) + 0.1**2 * eye)
+        khat = 1.3 * sp.integrated_wiener_cov(1, x[:, None], x[None, :]) + math.sqrt(0.01) ** 2 * eye
+        assert spline.condition_estimate == np.linalg.cond(khat)
+
     def test_duplicate_inputs_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             gr.gp_fit(np.array([0.1, 0.1, 0.5]), np.zeros(3), gr.ou_kernel(1.0), 0.1)
@@ -270,7 +287,7 @@ class TestGPRegression:
             x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
             return np.where((x == 0.5) & (xp == 0.5), -1.0, base.evaluate(x, xp))
 
-        kern = gr.custom_kernel(lying)
+        kern = gr.CovarianceKernel(lying, "custom")
         fit = gr.gp_fit(np.array([0.2, 0.8]), np.array([1.0, -1.0]), kern, 0.1)
         with pytest.raises(ValueError, match="variance"):
             gr.gp_predict(fit, 0.5)
