@@ -29,6 +29,7 @@ from .linear_posterior import (  # noqa: F401
     discretized_penalty_norm,
     fit,
     posterior_covariance,
+    posterior_sd,
     sample,
     tikhonov_objective,
 )

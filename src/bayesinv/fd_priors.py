@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,54 @@ class PrecisionRoot:
     def n(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Offsets a (column minus row) of the diagonals of M holding a nonzero.
+
+        Diagonals are counted outward from the main one until their nonzeros
+        add up to M's, so a banded M costs one count over M and a few
+        diagonals. Cached per root: M must not change after the first read.
+        """
+        rows, cols = self.matrix.shape
+        left = np.count_nonzero(self.matrix)
+        found = []
+        for a in sorted(range(1 - rows, cols), key=abs):
+            if not left:
+                break
+            count = np.count_nonzero(np.diagonal(self.matrix, a))
+            if count:
+                found.append(a)
+                left -= count
+        return tuple(sorted(found))
+
+    def gram_band(self) -> dict[int, np.ndarray]:
+        """The band of M^T M, as {k: diagonal k} for k >= 0; all else is zero.
+
+        Diagonal -k equals diagonal k. Entry (i, i + k) is the sum over rows r
+        of M[r, i] M[r, i + k], taken in increasing r, read from the shifted
+        diagonals of M's band; no n x n product is formed. Where each such
+        sum is exact (every builder here except the jump entries and the
+        soft-boundary corners) it equals ``M.T @ M`` bit for bit; otherwise
+        it can differ from it by the rounding of a fused multiply-add.
+        """
+        rows, cols = self.matrix.shape
+        band = {}
+        # r = i - a, so increasing r is decreasing a
+        for a in reversed(self._offsets):
+            lo = max(0, -a)
+            diag_a = np.diagonal(self.matrix, a)
+            for b in self._offsets:
+                if b < a:
+                    continue
+                hi = min(rows, cols - b)
+                if hi <= lo:
+                    continue
+                diag_b = np.diagonal(self.matrix, b)
+                prod = diag_a[: hi - lo] * diag_b[lo - max(0, -b) : hi - max(0, -b)]
+                out = band.setdefault(b - a, np.zeros(cols - (b - a)))
+                out[lo + a : hi + a] += prod
+        return band
+
 
 def build_smooth_interior(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
     """(n-2) x n second-difference rows (-1, 2, -1)/2 at interior nodes.
@@ -67,10 +116,10 @@ def build_smooth_interior(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
     if n < 3:
         raise ValueError(f"smooth interior prior needs n >= 3, got {n}")
     mat = np.zeros((n - 2, n))
-    for i in range(n - 2):
-        mat[i, i] = -0.5
-        mat[i, i + 1] = 1.0
-        mat[i, i + 2] = -0.5
+    rows = np.arange(n - 2)
+    mat[rows, rows] = -0.5
+    mat[rows, rows + 1] = 1.0
+    mat[rows, rows + 2] = -0.5
     return PrecisionRoot(mat, SMOOTH_INTERIOR, tilde_sigma)
 
 
@@ -78,11 +127,11 @@ def build_smooth_zero_boundary(n: int, tilde_sigma: float = 1.0) -> PrecisionRoo
     """Square tridiagonal variant assuming theta vanishes outside the interval."""
     if n < 2:
         raise ValueError(f"zero-boundary prior needs n >= 2, got {n}")
-    mat = (
-        np.diag(np.full(n, 1.0))
-        + np.diag(np.full(n - 1, -0.5), 1)
-        + np.diag(np.full(n - 1, -0.5), -1)
-    )
+    mat = np.zeros((n, n))
+    rows = np.arange(n)
+    mat[rows, rows] = 1.0
+    mat[rows[:-1], rows[1:]] = -0.5
+    mat[rows[1:], rows[:-1]] = -0.5
     return PrecisionRoot(mat, SMOOTH_ZERO_BOUNDARY, tilde_sigma)
 
 
@@ -113,7 +162,10 @@ def build_nonsmooth(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
     """Lower-bidiagonal first-difference rows, scaled by 1/2, theta(0) pinned."""
     if n < 2:
         raise ValueError(f"non-smooth prior needs n >= 2, got {n}")
-    mat = np.diag(np.full(n, 0.5)) + np.diag(np.full(n - 1, -0.5), -1)
+    mat = np.zeros((n, n))
+    rows = np.arange(n)
+    mat[rows, rows] = 0.5
+    mat[rows[1:], rows[:-1]] = -0.5
     return PrecisionRoot(mat, NONSMOOTH, tilde_sigma)
 
 

@@ -254,6 +254,8 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
+    if x.size == 0:
+        raise ValueError("x must hold at least one training input")
     for name, v in (("x", x), ("y", y)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")

@@ -65,6 +65,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     by generalized least squares against Khat, the exact vague-prior limit.
     """
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise ValueError("x must hold at least one knot")
     if x.ndim != 1 or not (np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0):
         raise ValueError("knots must be strictly increasing inside (0, 1)")
     if not (0 < sigma2 < np.inf and 0 < sigma2_theta < np.inf):

@@ -114,6 +114,12 @@ class TestGP:
         assert code == 1
         assert "x,y" in capsys.readouterr().err
 
+    def test_empty_training_set_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["gp", "--n", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "bayesinv: x must hold at least one training input\n"
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run_cli(["gp", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 1

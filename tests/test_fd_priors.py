@@ -243,3 +243,100 @@ def test_serialization_roundtrip(tmp_path):
 def test_nonpositive_or_nan_tilde_sigma_rejected(tilde_sigma):
     with pytest.raises(ValueError, match="tilde_sigma must be positive"):
         fp.PrecisionRoot(np.eye(3), "custom", tilde_sigma)
+
+
+def scatter_band(band, n):
+    """The dense symmetric matrix whose diagonals k and -k are band[k]."""
+    dense = np.zeros((n, n))
+    idx = np.arange(n)
+    for k, diag in band.items():
+        dense[idx[: n - k], idx[k:]] = diag
+        dense[idx[k:], idx[: n - k]] = diag
+    return dense
+
+
+@st.composite
+def banded_roots(draw, values):
+    """PrecisionRoots with random shape and offsets -3..3, some diagonals zero."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mat = np.zeros((rows, cols))
+    for a in range(-3, 4):
+        size = np.diagonal(mat, a).size
+        if size and draw(st.booleans()):
+            r = np.arange(size) + max(0, -a)
+            mat[r, r + a] = draw(st.lists(values, min_size=size, max_size=size))
+    return fp.PrecisionRoot(mat, "custom")
+
+
+# multiples of 1/16 up to 4: every product and sum of up to 7 of them is exact
+DYADIC = st.integers(-64, 64).map(lambda v: v / 16)
+FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+# builders whose entries are 0, +-0.5 and 1, so M^T M is exact in any order
+EXACT_BUILDERS = (fp.build_smooth_interior, fp.build_smooth_zero_boundary, fp.build_nonsmooth)
+
+
+def any_builder(n, which, xis):
+    builders = EXACT_BUILDERS + (
+        fp.build_smooth_soft_boundary,
+        lambda n: fp.build_jump(n, [(1 + (n - 1) // 2, xis[0])]),
+        lambda n: fp.build_jump(n, [(2, xis[0]), (3, xis[1]), (n, xis[2])]),
+    )
+    return builders[which](n)
+
+
+class TestGramBand:
+    @settings(max_examples=200, deadline=None)
+    @given(banded_roots(DYADIC))
+    def test_exact_entries_equal_dense_product(self, root):
+        mat = root.matrix
+        assert np.array_equal(scatter_band(root.gram_band(), root.n), mat.T @ mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(banded_roots(FINITE))
+    def test_any_entries_within_one_dot_product_rounding(self, root):
+        # each side sums at most 7 products, so lies within ~7u |M|^T |M| of
+        # the exact value (u = eps/2); the BLAS fuses multiply-adds and the
+        # band does not, so the two can differ by up to 14u = 7 eps
+        mat = root.matrix
+        bound = 7 * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat)) + np.finfo(float).tiny
+        assert np.all(np.abs(scatter_band(root.gram_band(), root.n) - mat.T @ mat) <= bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 60), st.integers(0, 5),
+           st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3))
+    def test_every_builder(self, n, which, xis):
+        root = any_builder(n, which, xis)
+        band = root.gram_band()
+        assert min(band) == 0 and max(band) <= 2
+        dense, banded = root.matrix.T @ root.matrix, scatter_band(band, n)
+        if which < len(EXACT_BUILDERS):
+            assert np.array_equal(banded, dense)
+        else:
+            # delta and xi entries round: a two-term sum may differ by the
+            # one rounding a fused multiply-add skips
+            np.testing.assert_array_max_ulp(banded, dense, maxulp=1)
+
+    def test_zero_matrix_has_empty_band(self):
+        assert fp.PrecisionRoot(np.zeros((3, 4)), "custom").gram_band() == {}
+
+    def test_band_survives_round_trip(self, tmp_path):
+        for root in (fp.build_jump(9, [(4, 0.3), (7, 0.55)], 1.5), fp.build_smooth_interior(9)):
+            base = str(tmp_path / root.variant)
+            fp.save_precision_root(root, base)
+            back = fp.load_precision_root(base)
+            band, back_band = root.gram_band(), back.gram_band()
+            assert band.keys() == back_band.keys()
+            assert all(np.array_equal(band[k], back_band[k]) for k in band)
+
+
+@pytest.mark.parametrize("n", range(3, 30))
+def test_builders_equal_dense_diagonal_sums(n):
+    # oracle: the sums of np.diag matrices the builders used to form
+    zero = np.diag(np.full(n, 1.0)) + np.diag(np.full(n - 1, -0.5), 1) + np.diag(np.full(n - 1, -0.5), -1)
+    nonsmooth = np.diag(np.full(n, 0.5)) + np.diag(np.full(n - 1, -0.5), -1)
+    interior = np.zeros((n - 2, n))
+    for i in range(n - 2):
+        interior[i, i : i + 3] = [-0.5, 1.0, -0.5]
+    assert np.array_equal(fp.build_smooth_zero_boundary(n).matrix, zero)
+    assert np.array_equal(fp.build_nonsmooth(n).matrix, nonsmooth)
+    assert np.array_equal(fp.build_smooth_interior(n).matrix, interior)

@@ -269,6 +269,10 @@ class TestGPRegression:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             gr.gp_fit(np.array(x), np.array(y), gr.ou_kernel(1.0), sigma)
 
+    def test_empty_training_set_named(self):
+        with pytest.raises(ValueError, match="^x must hold at least one"):
+            gr.gp_fit(np.array([]), np.array([]), gr.ou_kernel(1.0), 0.1)
+
     def test_coefficients_solve_the_system(self):
         rng = np.random.default_rng(6)
         x = np.sort(rng.uniform(0, 1, 9))

@@ -1,13 +1,21 @@
+import ast
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import optimize
+from scipy import linalg, optimize
 
+from bayesinv import cli
 from bayesinv import fd_priors as fp
 from bayesinv import forward_ops as fo
 from bayesinv import linear_posterior as lp
+from bayesinv.csvio import read_csv
+
+LINEAR_POSTERIOR = Path(__file__).resolve().parent.parent / "src" / "bayesinv" / "linear_posterior.py"
 
 
 def identity_problem(n=5):
@@ -255,3 +263,151 @@ def test_band_export(tmp_path):
     for line in rows[1:]:
         x, m, lo, hi = map(float, line.split(","))
         assert lo < m < hi
+
+
+def dense_reference(op, prior, y, sigma):
+    """The dense path the banded one replaced: (hessian, mean, cov, sd)."""
+    kmat, mmat = op.matrix, prior.matrix
+    hess = kmat.T @ kmat / sigma**2 + mmat.T @ mmat / prior.tilde_sigma**2
+    chol = linalg.cholesky(hess, lower=True)
+    mean = linalg.cho_solve((chol, True), kmat.T @ y / sigma**2)
+    cov = linalg.cho_solve((chol, True), np.eye(hess.shape[0]))
+    return hess, mean, cov, np.sqrt(np.diag(cov))
+
+
+BUILDERS = {
+    "smooth_interior": fp.build_smooth_interior,
+    "smooth_zero_boundary": fp.build_smooth_zero_boundary,
+    "smooth_soft_boundary": fp.build_smooth_soft_boundary,
+    "nonsmooth": fp.build_nonsmooth,
+    "single_jump": lambda n, ts: fp.build_jump(n, [(n // 3, 0.3)], ts),
+    "multi_jump": lambda n, ts: fp.build_jump(n, [(2, 0.37), (n // 2, 0.61), (n, 0.2)], ts),
+}
+OPERATORS = {
+    "deblur": lambda g: fo.make_gaussian_blur(g, 0.05),
+    "seismic": fo.make_travel_time,
+    "identity": fo.make_identity,
+}
+
+
+class TestBandedHessian:
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("operator", OPERATORS)
+    @pytest.mark.parametrize("n", [3, 41, 300])
+    def test_matches_dense_hessian(self, builder, operator, n):
+        grid = fo.Grid(0.0, 1.0, n)
+        op, prior = OPERATORS[operator](grid), BUILDERS[builder](n, 0.7)
+        y = np.cos(np.arange(n) * 0.4)
+        kk, mm = op.matrix.T @ op.matrix / 0.05**2, prior.matrix.T @ prior.matrix / 0.7**2
+        try:
+            post = lp.fit(op, prior, y, 0.05)
+        except np.linalg.LinAlgError:
+            assert builder == "smooth_interior" and operator == "seismic"
+            return
+        if builder in ("smooth_interior", "smooth_zero_boundary", "nonsmooth"):
+            # every product in M^T M is exact: the same bits as the dense sum
+            assert np.array_equal(post.hessian, kk + mm)
+            assert np.array_equal(post.mean, dense_reference(op, prior, y, 0.05)[1])
+        else:
+            # a delta or xi term can round once more than a fused multiply-add
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(post.hessian - (kk + mm)) <= eps * (np.abs(kk) + np.abs(mm)))
+
+
+class TestLapackInverse:
+    @pytest.mark.parametrize("builder", ["smooth_zero_boundary", "smooth_soft_boundary", "nonsmooth",
+                                         "multi_jump"])
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_covariance_and_sd_match_identity_solve(self, builder, operator):
+        n = 120
+        grid = fo.Grid(0.0, 1.0, n)
+        op, prior = OPERATORS[operator](grid), BUILDERS[builder](n, 0.5)
+        y = np.sin(np.arange(n) * 0.3)
+        post = lp.fit(op, prior, y, 0.05)
+        _, _, cov_ref, sd_ref = dense_reference(op, prior, y, 0.05)
+        cov = lp.posterior_covariance(post)
+        assert np.array_equal(cov, cov.T)
+        assert np.abs(cov - cov_ref).max() <= 1e-13 * np.abs(cov_ref).max()
+        sd = lp.posterior_sd(post)
+        assert np.all(np.abs(sd - np.sqrt(np.diag(cov))) <= 1e-13 * sd)
+        assert np.all(np.abs(sd - sd_ref) <= 1e-13 * sd_ref)
+
+    def test_failed_inversion_raises(self):
+        op, prior, y = deblur_problem(n=12)
+        post = lp.fit(op, prior, y, 0.05)
+        chol = post.chol_lower.copy()
+        chol[5, 5] = 0.0  # a singular factor: dpotri and dtrtri report info = 6
+        broken = dataclasses.replace(post, chol_lower=chol)
+        with pytest.raises(np.linalg.LinAlgError, match="dpotri"):
+            lp.posterior_covariance(broken)
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtri"):
+            lp.posterior_sd(broken)
+
+    def test_covariance_mirrors_in_place(self):
+        # dpotri's copy of the factor plus one n x n triangle; mirroring out
+        # of place would add a third n x n array
+        n = 400
+        op, prior, y = deblur_problem(n=n)
+        post = lp.fit(op, prior, y, 0.05)
+        lp.posterior_covariance(post)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cov = lp.posterior_covariance(post)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cov.shape == (n, n)
+        assert peak <= 2.5 * n * n * 8
+
+    def test_band_export_builds_no_covariance(self, tmp_path, monkeypatch):
+        op, prior, y = deblur_problem(n=15)
+        post = lp.fit(op, prior, y, 0.05)
+
+        def refuse(_):
+            raise AssertionError("export_posterior_bands formed the covariance")
+
+        monkeypatch.setattr(lp, "posterior_covariance", refuse)
+        lp.export_posterior_bands(post, str(tmp_path / "bands.csv"))
+        rows = read_csv(tmp_path / "bands.csv", ["x", "mean", "lower", "upper"])
+        assert_allclose((rows[:, 3] - rows[:, 2]) / 4, lp.posterior_sd(post), rtol=1e-15)
+
+
+@pytest.mark.parametrize("prior", ["smooth-interior", "smooth-zero", "smooth-soft", "nonsmooth"])
+def test_demo_linear_moves_only_the_bands(tmp_path, prior):
+    # the CLI's mean is the dense path's bit for bit; lower/upper come from
+    # dtrtri column norms instead of the identity solve and move in last bits
+    for kernel in cli.OPERATORS:
+        out = tmp_path / kernel
+        assert cli.main(["demo-linear", "--kernel", kernel, "--prior", prior, "--n", "300",
+                         "--seed", "3", "--out", str(out)]) == 0
+        params = dict(cli.DEFAULTS["demo-linear"], kernel=kernel, prior=prior, n=300)
+        op = cli.OPERATORS[kernel](params)
+        root = cli.PRIORS[prior](op.col_grid.n, params["tilde_sigma"])
+        y = read_csv(out / "data.csv", ["x", "y"])[:, 1]
+        _, mean, _, sd = dense_reference(op, root, y, params["sigma"])
+        rows = read_csv(out / "posterior.csv", ["x", "mean", "lower", "upper"])
+        assert np.array_equal(rows[:, 1], mean)
+        for col, band in ((2, mean - 2 * sd), (3, mean + 2 * sd)):
+            # twice the sd move, plus the rounding of mean -+ 2 sd
+            assert np.all(np.abs(rows[:, col] - band) <= 2e-13 * sd + np.spacing(np.abs(band)))
+
+
+def test_module_forms_no_dense_gram_or_identity_solve():
+    # H takes the prior only through its band, and H^(-1) comes from dpotri,
+    # not from solving against an identity matrix
+    tree = ast.parse(LINEAR_POSTERIOR.read_text())
+
+    def name(func):
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "cho_solve":
+            inner = {name(sub.func) for arg in node.args for sub in ast.walk(arg)
+                     if isinstance(sub, ast.Call)}
+            assert inner & {"eye", "identity"} == set()
+    fit = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "fit")
+    reads = {(sub.value.id, sub.attr) for sub in ast.walk(fit)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)}
+    assert ("prior", "matrix") not in reads

@@ -194,6 +194,10 @@ class TestSplineFit:
         with pytest.raises(ValueError, match="order m"):
             sp.spline_fit(np.array([0.1, 0.5, 0.9]), np.zeros(3), 0.1, 1.0, m_order=4)
 
+    def test_empty_knots_named(self):
+        with pytest.raises(ValueError, match="^x must hold at least one"):
+            sp.spline_fit(np.array([]), np.array([]), 0.1, 1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_y_named(self, bad):
         with pytest.raises(ValueError, match="^y must be finite"):
