@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _checks as check
 from .csvio import read_csv, write_csv
 
 __all__ = [
@@ -50,10 +51,8 @@ class PrecisionRoot:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", mat)
-        if not self.tilde_sigma > 0:
-            raise ValueError(f"tilde_sigma must be positive, got {self.tilde_sigma}")
+        object.__setattr__(self, "matrix", check.finite("matrix", self.matrix))
+        check.positive("tilde_sigma", self.tilde_sigma)
 
     @property
     def n(self) -> int:
@@ -113,8 +112,7 @@ def build_smooth_interior(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
 
     Rank n-1 penalty: constants and linear trends are unpenalized.
     """
-    if n < 3:
-        raise ValueError(f"smooth interior prior needs n >= 3, got {n}")
+    check.count("n", n, 3)
     mat = np.zeros((n - 2, n))
     rows = np.arange(n - 2)
     mat[rows, rows] = -0.5
@@ -125,8 +123,7 @@ def build_smooth_interior(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
 
 def build_smooth_zero_boundary(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
     """Square tridiagonal variant assuming theta vanishes outside the interval."""
-    if n < 2:
-        raise ValueError(f"zero-boundary prior needs n >= 2, got {n}")
+    check.count("n", n, 2)
     mat = np.zeros((n, n))
     rows = np.arange(n)
     mat[rows, rows] = 1.0
@@ -144,8 +141,7 @@ def build_smooth_soft_boundary(n: int, tilde_sigma: float = 1.0) -> PrecisionRoo
     k = n//2 + 1 (1-based), that variance is 4 ||T^(-1) e_k||^2 where
     T^(-1)[i, k] = min(i, k) (n + 1 - max(i, k)) / (n + 1), summed exactly.
     """
-    if n < 3:
-        raise ValueError(f"soft-boundary prior needs n >= 3, got {n}")
+    check.count("n", n, 3)
     k = n // 2 + 1
     squares = lambda t: t * (t + 1) * (2 * t + 1)  # 6 * (1^2 + ... + t^2)
     mid_var = 4 * ((n + 1 - k) ** 2 * squares(k) + k**2 * squares(n - k)) / (6 * (n + 1) ** 2)
@@ -160,8 +156,7 @@ def build_smooth_soft_boundary(n: int, tilde_sigma: float = 1.0) -> PrecisionRoo
 
 def build_nonsmooth(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:
     """Lower-bidiagonal first-difference rows, scaled by 1/2, theta(0) pinned."""
-    if n < 2:
-        raise ValueError(f"non-smooth prior needs n >= 2, got {n}")
+    check.count("n", n, 2)
     mat = np.zeros((n, n))
     rows = np.arange(n)
     mat[rows, rows] = 0.5
@@ -184,12 +179,11 @@ def build_jump(n: int, jumps, tilde_sigma: float = 1.0) -> PrecisionRoot:
     diag = np.ones(n)
     seen = set()
     for idx, xi in jumps:
-        if not 1 <= idx <= n:
-            raise ValueError(f"jump index {idx} outside 1..{n}")
+        check.count("index in jumps", idx, 1, n)
         if idx in seen:
-            raise ValueError(f"duplicate jump index {idx}")
+            raise ValueError(f"duplicate index {idx} in jumps")
         if not 0.0 < xi < 1.0:
-            raise ValueError(f"jump entry must lie in (0, 1), got {xi}")
+            raise ValueError(f"entry in jumps must lie in (0, 1), got {xi}")
         seen.add(idx)
         diag[idx - 1] = xi
     variant = SINGLE_JUMP if len(jumps) == 1 else MULTI_JUMP
@@ -199,10 +193,7 @@ def build_jump(n: int, jumps, tilde_sigma: float = 1.0) -> PrecisionRoot:
 
 def prior_log_density(root: PrecisionRoot, theta: np.ndarray) -> float:
     """Unnormalized log prior -||M theta||^2 / (2 tilde_sigma^2)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (root.n,):
-        raise ValueError(f"theta has shape {theta.shape}, prior expects ({root.n},)")
-    r = root.matrix @ theta
+    r = root.matrix @ check.finite("theta", theta, (root.n,))
     return float(-(r @ r) / (2.0 * root.tilde_sigma**2))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks as check
 from .csvio import read_csv, write_csv
 
 __all__ = [
@@ -40,8 +41,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"grid needs n >= 2, got n={self.n}")
+        check.count("n", self.n, 2)
+        check.finite("a", self.a)
+        check.finite("b", self.b)
         if not self.b > self.a:
             raise ValueError(f"grid needs b > a, got [{self.a}, {self.b}]")
 
@@ -65,15 +67,8 @@ class ForwardOperator:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape != (self.row_grid.n, self.col_grid.n):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match grids "
-                f"({self.row_grid.n}, {self.col_grid.n})"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("operator matrix contains non-finite entries")
+        shape = (self.row_grid.n, self.col_grid.n)
+        object.__setattr__(self, "matrix", check.finite("matrix", self.matrix, shape))
 
     @property
     def shape(self):
@@ -89,8 +84,7 @@ def _discretize(kernel, row_grid: Grid, col_grid: Grid, tag: str, params: dict) 
 
 def make_gaussian_blur(grid: Grid, psi: float) -> ForwardOperator:
     """Gaussian convolution kernel exp(-(x-t)^2 / 2 psi^2) / sqrt(2 pi psi^2)."""
-    if psi <= 0:
-        raise ValueError(f"psi must be positive, got {psi}")
+    psi = check.positive("psi", psi)
     norm = 1.0 / math.sqrt(2.0 * math.pi * psi * psi)
 
     def kernel(x, t):
@@ -110,8 +104,7 @@ def make_travel_time(grid: Grid) -> ForwardOperator:
 
 def make_gravity(grid: Grid, h: float) -> ForwardOperator:
     """Vertical gravity anomaly kernel h / ((t - x)^2 + h^2)^(3/2) at height h."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    h = check.positive("h", h)
 
     def kernel(x, t):
         return h / ((t - x) ** 2 + h * h) ** 1.5
@@ -145,12 +138,10 @@ def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) ->
     for tau > 0 and 0 otherwise (causality). The exponent is negative, which
     is the decaying Green's function of the transport equation.
     """
-    if D <= 0:
-        raise ValueError(f"diffusion coefficient D must be positive, got {D}")
-    if T <= 0:
-        raise ValueError(f"time horizon T must be positive, got {T}")
-    if x_obs <= 0:
-        raise ValueError(f"observation well location x_obs must be positive, got {x_obs}")
+    check.positive("D", D)
+    check.positive("T", T)
+    check.positive("x_obs", x_obs)
+    check.finite("nu", nu)
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"grid must cover [0, T) = [0, {T}), got [{grid.a}, {grid.b})")
 
@@ -177,19 +168,15 @@ def make_identity(grid: Grid) -> ForwardOperator:
 
 def apply(op: ForwardOperator, theta: np.ndarray) -> np.ndarray:
     """Matrix-vector product K theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (op.col_grid.n,):
-        raise ValueError(
-            f"theta has shape {theta.shape}, operator expects ({op.col_grid.n},)"
-        )
-    return op.matrix @ theta
+    return op.matrix @ check.finite("theta", theta, (op.col_grid.n,))
 
 
 def simulate_data(op: ForwardOperator, theta_true: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Draw y = K theta_true + eps with eps ~ N(0, sigma^2 I), fixed by seed."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    clean = apply(op, theta_true)
+    theta_true = check.finite("theta_true", theta_true, (op.col_grid.n,))
+    if sigma:  # sigma = 0 gives noise-free data
+        sigma = check.positive("sigma", sigma)
+    clean = op.matrix @ theta_true
     rng = np.random.default_rng(seed)
     return clean + sigma * rng.standard_normal(clean.shape[0])
 

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import linalg
 
+from . import _checks as check
 from .csvio import write_csv
 
 __all__ = [
@@ -60,8 +61,7 @@ class CovarianceKernel:
 
 def ou_kernel(b: float) -> CovarianceKernel:
     """Ornstein-Uhlenbeck covariance (1/2b) exp(-b |x - x'|)."""
-    if b <= 0:
-        raise ValueError(f"OU rate b must be positive, got {b}")
+    b = check.positive("b", b)
 
     def evaluate(x, xp):
         return np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
@@ -74,10 +74,7 @@ def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
 
     For d > 1, inputs are points with d coordinates in the last axis.
     """
-    if b <= 0:
-        raise ValueError(f"length scale b must be positive, got {b}")
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
+    b, d = check.positive("b", b), check.count("d", d, 1)
     norm = (2.0 * math.pi * b * b) ** (-d / 2.0)
 
     def evaluate(x, xp):
@@ -99,8 +96,7 @@ def brownian_motion_kernel() -> CovarianceKernel:
         return np.minimum(np.asarray(x, dtype=float), xp)
 
     def analytic_eigen(j: int):
-        if j < 1:
-            raise ValueError(f"eigen index must be >= 1, got {j}")
+        check.count("j", j, 1)
         freq = (j - 0.5) * math.pi
         return 1.0 / freq**2, lambda x: math.sqrt(2.0) * np.sin(freq * np.asarray(x))
 
@@ -114,12 +110,11 @@ def integrated_wiener_cov(l: int, x, x_prime):
     closed form of the module docstring. Broadcasts x against x_prime and
     returns a float for scalar input; l = 0 gives min(x, x').
     """
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"fold count l must be a non-negative integer, got {l}")
+    check.count("l", l, 0)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(x_prime, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)) or np.any((xp < 0.0) | (xp > 1.0)):
-        raise ValueError("arguments must lie in [0, 1]")
+    if not (np.all((0.0 <= x) & (x <= 1.0)) and np.all((0.0 <= xp) & (xp <= 1.0))):
+        raise ValueError("x and x_prime must lie in [0, 1]")
     v = np.minimum(x, xp)
     d = np.abs(x - xp)
     scale = math.factorial(l) ** 2
@@ -135,8 +130,7 @@ def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
 
     This is the once-integrated Wiener covariance (l = 1) scaled by variance.
     """
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    variance = check.positive("variance", variance)
 
     def evaluate(x, xp):
         return variance * integrated_wiener_cov(1, x, xp)
@@ -157,13 +151,14 @@ def spectral_numeric_kernel(b) -> CovarianceKernel:
 def matrix_kernel(points, cov) -> CovarianceKernel:
     """Kernel backed by a covariance matrix on a fixed point set.
 
-    Evaluation looks points up by value (1e-9 tolerance); used to restrict a
-    grid prior covariance to a GP-regression kernel.
+    Evaluation looks points up by value (binary search, 1e-9 tolerance), so
+    ``points`` must be strictly increasing; used to restrict a grid prior
+    covariance to a GP-regression kernel.
     """
-    points = np.asarray(points, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (points.size, points.size):
-        raise ValueError("covariance shape does not match point count")
+    points = check.finite("points", points)
+    if points.ndim != 1 or np.any(np.diff(points) <= 0):
+        raise ValueError("points must be a strictly increasing 1-d array")
+    cov = check.finite("cov", cov, (points.size, points.size))
 
     def lookup(vals):
         vals = np.asarray(vals, dtype=float)
@@ -189,9 +184,7 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
 
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:
     """Gram matrix evaluate(points[i], points[j]) of points shaped (n,) or (n, d)."""
-    points = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    points = check.finite("points", points)
     return np.asarray(kernel.evaluate(points[:, None], points[None, :]), dtype=float)
 
 
@@ -200,27 +193,24 @@ def nystrom_eigen(kernel: CovarianceKernel, n: int, count: int, seed: int):
 
     Returns [(lambda_hat, u), ...] sorted by decreasing lambda_hat, where
     lambda_hat = lambda_j(Sigma_n) / n estimates the kernel eigenvalue and the
-    eigenvectors u have unit Euclidean norm.
+    eigenvectors u have unit Euclidean norm. Only those ``count`` pairs are
+    computed (LAPACK ``dsyevr`` on an index subset).
     """
-    if count > n:
-        raise ValueError(f"count {count} exceeds sample size {n}")
+    check.count("count", count, 1, check.count("n", n, 1))
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, n)
     sigma_n = gram(kernel, points)
     try:
-        vals, vecs = np.linalg.eigh(sigma_n)
+        vals, vecs = linalg.eigh(sigma_n, subset_by_index=[n - count, n - 1], driver="evr")
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("Gram matrix eigendecomposition failed") from exc
-    order = np.argsort(vals)[::-1][:count]
-    return [(float(vals[j]) / n, vecs[:, j].copy()) for j in order]
+    return [(float(vals[j]) / n, vecs[:, j].copy()) for j in reversed(range(count))]
 
 
-def rkhs_norm_truncated(kernel: CovarianceKernel, theta_coeffs, eigenvalues) -> float:
+def rkhs_norm_truncated(theta_coeffs, eigenvalues) -> float:
     """Squared RKHS norm sum theta_i^2 / lambda_i of a truncated expansion."""
-    theta = np.asarray(theta_coeffs, dtype=float)
-    lam = np.asarray(eigenvalues, dtype=float)
-    if theta.shape != lam.shape:
-        raise ValueError("coefficient and eigenvalue vectors must have equal length")
+    lam = check.finite("eigenvalues", eigenvalues)
+    theta = check.finite("theta_coeffs", theta_coeffs, lam.shape)
     if np.any(lam <= 0):
         raise ValueError("eigenvalues must be positive")
     return float(np.sum(theta**2 / lam))
@@ -248,17 +238,13 @@ class GPRegressionFit:
 
 def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     """Solve (K + sigma^2 I) c = y by Cholesky; the factor is kept on the fit."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+    sigma = check.positive("sigma", sigma)
+    x = check.finite("x", x)
+    y = check.finite("y", y, x.shape)
     if x.size == 0:
         raise ValueError("x must hold at least one training input")
-    for name, v in (("x", x), ("y", y)):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-d array")
     if np.unique(x).size != x.size:
         raise ValueError("training inputs must be distinct")
     kmat = gram(kernel, x) + sigma**2 * np.eye(x.size)
@@ -267,12 +253,12 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     except linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
     coef = linalg.cho_solve((chol, True), y)
-    return GPRegressionFit(x, y, kernel, float(sigma), coef, chol)
+    return GPRegressionFit(x, y, kernel, sigma, coef, chol)
 
 
 def gp_predict(fit: GPRegressionFit, x_star: float):
     """Posterior mean and variance at a single point (``gp_predict_curve`` at one point)."""
-    means, variances = gp_predict_curve(fit, [x_star])
+    means, variances = gp_predict_curve(fit, [check.finite("x_star", x_star, ())])
     return float(means[0]), float(variances[0])
 
 
@@ -282,7 +268,7 @@ def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
     The mean is the representer form sum_i c_i K(x*, x_i). The variance is
     clamped to zero within a -1e-10 tolerance; anything lower is an error.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = check.finite("xs", xs)
     smat = np.asarray(fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]), dtype=float)
     means = smat @ fit.coefficients
     w = linalg.cho_solve((fit.chol_lower, True), smat.T)
@@ -294,17 +280,15 @@ def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_spectrum_coeffs(b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a non-empty coefficient vector")
-    if np.any(b < 0):
-        raise ValueError("spectrum coefficients must be non-negative")
+    b = check.finite("b", b)
+    if b.ndim != 1 or b.size == 0 or np.any(b < 0):
+        raise ValueError("b must be a non-empty vector of non-negative coefficients")
     if b[0] <= 0:
-        raise ValueError("b_0 must be positive for an integrable spectrum")
+        raise ValueError("b must have b_0 > 0 for an integrable spectrum")
     if b.size < 2 or np.all(b[1:] == 0):
         raise ValueError(
-            "the penalty needs derivative order M >= 1: with b_m = 0 for all "
-            "m >= 1 the power spectrum does not decay and has no Fourier inverse"
+            "b needs derivative order M >= 1: with b_m = 0 for all m >= 1 "
+            "the power spectrum does not decay and has no Fourier inverse"
         )
     return b
 
@@ -328,7 +312,7 @@ def spectral_kernel(b, tau_grid):
     noise = np.zeros((order, order))
     noise[-1, -1] = 1.0 / b[-1]
     p_inf = linalg.solve_continuous_lyapunov(drift, -noise)
-    taus = np.abs(np.asarray(tau_grid, dtype=float))
+    taus = np.abs(check.finite("tau_grid", tau_grid))
     vals = linalg.expm(taus[..., None, None] * drift)[..., 0, :] @ p_inf[:, 0]
     return vals if taus.ndim else float(vals)
 
@@ -343,23 +327,22 @@ def _difference_stencil(m: int) -> np.ndarray:
     return stencil
 
 
-def penalty_quadratic_form(n: int, b, theta) -> float:
+def penalty_quadratic_form(b, theta) -> float:
     """theta^T (sum_m b_m D_m^T D_m) theta approximating the derivative penalty.
 
-    D_m applies the order-m central difference scaled by n^m with grid weight
-    1/n folded in, so each term is a Riemann sum for int (theta^(m))^2.
+    theta holds the function on n grid nodes. D_m applies the order-m central
+    difference scaled by n^m with grid weight 1/n folded in, so each term is a
+    Riemann sum for int (theta^(m))^2.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a non-empty coefficient vector")
-    if np.any(b < 0):
-        raise ValueError("penalty coefficients must be non-negative")
+    b = check.finite("b", b)
+    if b.ndim != 1 or b.size == 0 or np.any(b < 0):
+        raise ValueError("b must be a non-empty vector of non-negative coefficients")
     order = b.size - 1
-    if n < 2 * order + 1:
-        raise ValueError(f"need n >= {2 * order + 1} grid points for order {order}, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
+    theta = check.finite("theta", theta)
+    n = theta.size
+    if theta.ndim != 1 or n < 2 * order + 1:
+        raise ValueError(f"theta needs a 1-d grid of n >= {2 * order + 1} nodes for order {order}, "
+                         f"got shape {theta.shape}")
     total = b[0] * float(theta @ theta) / n
     for m in range(1, order + 1):
         if b[m] == 0.0:

@@ -21,6 +21,8 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import betaln, fdtri, poch
 
+from . import _checks as check
+
 __all__ = [
     "CalibrationData",
     "CalibrationEstimates",
@@ -66,18 +68,13 @@ class CalibrationData:
 
 def make_calibration_data(x, y, y_new) -> CalibrationData:
     """Bundle training pairs and new responses; centers x to sum zero."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
-    for name, v in (("x", x), ("y", y), ("y_new", y_new)):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    if x.shape[0] < 3:
-        raise ValueError(f"need n >= 3 training pairs, got {x.shape[0]}")
-    if y_new.shape[0] < 1:
-        raise ValueError("need at least one new response")
+    x = check.finite("x", x)
+    y = check.finite("y", y, x.shape)
+    y_new = np.atleast_1d(check.finite("y_new", y_new))
+    if x.ndim != 1 or x.shape[0] < 3:
+        raise ValueError(f"x must be 1-d with n >= 3 training pairs, got shape {x.shape}")
+    if y_new.ndim != 1 or y_new.shape[0] < 1:
+        raise ValueError("y_new must be a 1-d array of at least one new response")
     shift = float(x.mean())
     return CalibrationData(x - shift, y, y_new, shift)
 
@@ -233,6 +230,9 @@ class Density1D:
     ):
         self.log_density = log_density
         self.support = (float(support[0]), float(support[1]))
+        if not self.support[0] < self.support[1]:
+            raise ValueError(f"support must be an interval (lo, hi) with lo < hi, got {support}")
+        check.finite("center_hint", center_hint)
         self.exact_mean = exact_mean
         self.exact_variance = exact_variance
         self.exact_log_normalizer = exact_log_normalizer
@@ -312,10 +312,6 @@ class Density1D:
     def log_normalizer(self) -> float:
         return math.log(self._mass) + self._shift
 
-    @property
-    def normalizer(self) -> float:
-        return math.exp(self.log_normalizer)
-
     # -- normalized quantities --------------------------------------------
 
     def pdf(self, x):
@@ -348,6 +344,7 @@ class Density1D:
             return 0.0
         if x >= right:
             return 1.0
+        check.finite("x", x)  # only NaN gets here
         val = self._mass_to(x, {left: 0.0, right: self._mass}) / self._mass
         return min(max(val, 0.0), 1.0)
 
@@ -367,7 +364,7 @@ class Density1D:
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {p}")
+            raise ValueError(f"quantile level p must lie in (0, 1), got {p}")
         left, right = self.window
         known = {left: 0.0, right: self._mass}
         excess = lambda t: self._mass_to(t, known) / self._mass - p
@@ -388,8 +385,7 @@ def hoadley_informative_prior(n: int) -> Callable[[float], float]:
     This is the prior under which the posterior mean of the unknown covariate
     is the inverse estimator (m = 1).
     """
-    if n < 4:
-        raise ValueError(f"informative prior needs n >= 4, got {n}")
+    check.count("n", n, 4)
     scale = math.sqrt((n + 1) / (n - 3))
     df = np.float64(n - 3)
     # scipy.stats.t's log-density with the same numpy ufuncs in the same
@@ -475,23 +471,20 @@ def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
     which keeps full relative precision when N and s are large. Normalizer
     and moments follow from int_0^inf x^a (1 + x/s)^(-c) dx = s^(a+1) B(a+1, c-a-1).
     """
-    x_all = np.asarray(x_all, dtype=float)
-    y_all = np.asarray(y_all)
-    if x_all.ndim != 1 or x_all.shape != y_all.shape:
-        raise ValueError("x_all and y_all must be 1-d arrays of equal length")
-    if np.any(x_all <= 0):
-        raise ValueError("covariates must be positive")
+    x_all = check.finite("x_all", x_all)
+    y_all = check.finite("y_all", y_all, x_all.shape)
+    if x_all.ndim != 1 or np.any(x_all <= 0):
+        raise ValueError("x_all must be a 1-d array of positive covariates")
     if np.any(y_all < 0) or not np.all(np.equal(np.mod(y_all, 1), 0)):
-        raise ValueError("counts must be non-negative integers")
-    if not 0 <= held_out < x_all.shape[0]:
-        raise ValueError(f"held-out index {held_out} out of range")
+        raise ValueError("y_all must hold counts: non-negative integers")
+    check.count("held_out", held_out, 0, x_all.shape[0] - 1)
     s = float(x_all.sum() - x_all[held_out])
     n_total = float(np.sum(y_all))
     y_i = float(y_all[held_out])
     if n_total - y_i <= 1:
         raise ValueError(
-            "posterior is not normalizable: need sum(y) - y_i > 1, got "
-            f"{n_total - y_i}"
+            "y_all gives a posterior that is not normalizable: need "
+            f"sum(y_all) - y_all[held_out] > 1, got {n_total - y_i}"
         )
     a = y_i
     c = n_total + 1.0
@@ -534,13 +527,10 @@ def inconsistency_experiment(theta_true: float, n_values: Sequence[int], seed: i
     posterior sd. The sd does not shrink with n: the posterior of a covariate
     never concentrates when the responses stay noisy.
     """
-    if theta_true <= 0:
-        raise ValueError(f"theta_true must be positive, got {theta_true}")
-    n_values = list(n_values)
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
-    if n_values[0] < 3:
-        raise ValueError("each n must be at least 3")
+    theta_true = check.positive("theta_true", theta_true)
+    n_values = [check.count("n_values", n, 3) for n in n_values]
+    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be non-empty and strictly increasing")
     rows = []
     for n in n_values:
         rng = np.random.default_rng([seed, n])
@@ -559,6 +549,7 @@ def inconsistency_experiment(theta_true: float, n_values: Sequence[int], seed: i
 
 def standardized_design(n: int) -> np.ndarray:
     """Equally spaced covariates scaled to sum x = 0 and sum x^2 = n."""
+    check.count("n", n, 3)  # the fit on the design needs n >= 3
     x = np.linspace(-1.0, 1.0, n)
     x = x - x.mean()
     return x * math.sqrt(n / float(np.sum(x * x)))
@@ -576,6 +567,7 @@ def simulate_calibration(
     """Draw a calibration dataset on the standardized design; the stream
     default_rng(seed) gives the n training noises, then the m new ones."""
     x = standardized_design(n)
+    check.count("m", m, 1)
     y, y_new = _draw(x, m, alpha_true, beta_true, sigma, x_true, [seed])
     return make_calibration_data(x, y[0], y_new[0])
 
@@ -583,6 +575,10 @@ def simulate_calibration(
 def _draw(x, m, alpha_true, beta_true, sigma, x_true, seeds):
     """Responses y (k, n) on the design x and y_new (k, m) at x_true, dataset k
     from n + m standard normals of default_rng(seeds[k]) drawn in one call."""
+    for name, v in (("alpha_true", alpha_true), ("beta_true", beta_true), ("x_true", x_true)):
+        check.finite(name, v)
+    if sigma:  # sigma = 0 gives noise-free data
+        check.positive("sigma", sigma)
     n = x.size
     rows = [np.random.default_rng(s).standard_normal(n + m) for s in seeds]
     z = np.reshape(rows, (len(seeds), n + m))
@@ -614,8 +610,7 @@ def coverage_experiment(
     Replication r is ``simulate_calibration(n, 1, 0.0, beta_true, sigma,
     x_true, [seed, r])``: its own stream, so batching and order do not matter.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
+    check.count("n_reps", n_reps, 1)
     x = standardized_design(n)
     seeds = [[seed, rep] for rep in range(n_reps)]
     # the fit sees the design centered, as make_calibration_data leaves it
@@ -653,10 +648,8 @@ def estimator_risk_experiment(
     show up at feasible replication counts. Replication r uses the stream
     default_rng([seed, r]), as in ``coverage_experiment``.
     """
-    if n_reps < 2:
-        # the first half is compared with the whole
-        raise ValueError(f"n_reps must be at least 2, got {n_reps}")
-    x = np.linspace(-0.5, 0.5, n)
+    check.count("n_reps", n_reps, 2)  # the first half is compared with the whole
+    x = np.linspace(-0.5, 0.5, check.count("n", n, 3))
     x = x - x.mean()
     seeds = [[seed, rep] for rep in range(n_reps)]
     # centered once more, as make_calibration_data does

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
+from . import _checks as check
 from .csvio import write_csv
 from .fd_priors import (
     NONSMOOTH,
@@ -64,13 +65,8 @@ def fit(op: ForwardOperator, prior: PrecisionRoot, y: np.ndarray, sigma: float) 
     unconstrained (possible with the rank-deficient smooth-interior prior and
     a rank-deficient operator).
     """
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.row_grid.n,):
-        raise ValueError(f"y has shape {y.shape}, operator expects ({op.row_grid.n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    sigma = check.positive("sigma", sigma)
+    y = check.finite("y", y, (op.row_grid.n,))
     if prior.n != op.col_grid.n:
         raise ValueError(
             f"prior acts on {prior.n} nodes but operator has {op.col_grid.n} columns"
@@ -99,12 +95,8 @@ def fit(op: ForwardOperator, prior: PrecisionRoot, y: np.ndarray, sigma: float) 
 
 def tikhonov_objective(post: GaussianPosterior, theta: np.ndarray, y: np.ndarray) -> float:
     """Regularized misfit ||y - K theta||^2/(2 sigma^2) + ||M theta||^2/(2 ts^2)."""
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if theta.shape != (post.n,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({post.n},)")
-    if y.shape != (post.operator.row_grid.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({post.operator.row_grid.n},)")
+    theta = check.finite("theta", theta, (post.n,))
+    y = check.finite("y", y, (post.operator.row_grid.n,))
     resid = y - post.operator.matrix @ theta
     pen = post.prior.matrix @ theta
     ts = post.prior.tilde_sigma
@@ -135,8 +127,7 @@ def posterior_sd(post: GaussianPosterior) -> np.ndarray:
 
 def sample(post: GaussianPosterior, k: int, seed: int) -> np.ndarray:
     """k independent posterior draws, one per row; deterministic per seed."""
-    if k < 1:
-        raise ValueError(f"number of draws must be >= 1, got {k}")
+    check.count("k", k, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((post.n, k))
     # chol_lower is L with H = L L^T, so L^{-T} z has covariance H^{-1}
@@ -158,11 +149,8 @@ def discretized_penalty_norm(prior: PrecisionRoot, theta: np.ndarray, order: str
     The factors of 4 undo the 1/2 prefactor carried by the difference
     matrices; n^3 = n^4 (difference-to-derivative) * 1/n (grid weight).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (prior.n,):
-        raise ValueError(f"theta has shape {theta.shape}, prior expects ({prior.n},)")
     n = prior.n
-    r = prior.matrix @ theta
+    r = prior.matrix @ check.finite("theta", theta, (n,))
     if order == "laplacian":
         if prior.variant not in _SMOOTH_VARIANTS:
             raise ValueError(f"laplacian order requires a smooth prior, got '{prior.variant}'")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
+from . import _checks as check
 from .csvio import write_csv
 from .gp_rkhs import CovarianceKernel, GPRegressionFit, gp_fit, integrated_wiener_cov
 
@@ -65,14 +66,11 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     by generalized least squares against Khat, the exact vague-prior limit.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("x must hold at least one knot")
-    if x.ndim != 1 or not (np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0):
-        raise ValueError("knots must be strictly increasing inside (0, 1)")
-    if not (0 < sigma2 < np.inf and 0 < sigma2_theta < np.inf):
-        raise ValueError("sigma2 and sigma2_theta must be positive and finite")
-    if m_order not in (1, 2, 3):
-        raise ValueError(f"polynomial order m must be 1, 2 or 3, got {m_order}")
+    if x.ndim != 1 or x.size == 0 or not (np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0):
+        raise ValueError("x must hold at least one knot, strictly increasing inside (0, 1)")
+    sigma2 = check.positive("sigma2", sigma2)
+    sigma2_theta = check.positive("sigma2_theta", sigma2_theta)
+    check.count("m_order", m_order, 1, 3)
 
     kernel = CovarianceKernel(
         lambda a, b: sigma2_theta * integrated_wiener_cov(m_order - 1, a, b), "integrated_wiener"
@@ -88,6 +86,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
 def spline_predict(fit: SplineFit, x_star):
     """Posterior-mean prediction h(x*)^T beta + s(x*)^T Khat^(-1)(y - H beta)."""
     xs = np.atleast_1d(np.asarray(x_star, dtype=float))
+    if not np.all((0.0 <= xs) & (xs <= 1.0)):
+        raise ValueError("x_star must lie in [0, 1]")
     s = fit.gp.kernel.evaluate(xs[:, None], fit.x_train[None, :])
     vals = _poly_basis(xs, fit.m_order) @ fit.beta_hat + s @ fit.coefficients
     return float(vals[0]) if np.isscalar(x_star) or np.asarray(x_star).ndim == 0 else vals
@@ -95,7 +95,7 @@ def spline_predict(fit: SplineFit, x_star):
 
 def export_spline_curve(fit: SplineFit, path: str, num: int = 201) -> None:
     """CSV of (x, fitted, is_knot) on a grid joined with the knots."""
-    grid = np.linspace(0.0, 1.0, num)
+    grid = np.linspace(0.0, 1.0, check.count("num", num, 2))
     xs = np.unique(np.concatenate([grid, fit.x_train]))
     fitted = spline_predict(fit, xs)
     knots = set(float(v) for v in fit.x_train)

@@ -337,6 +337,18 @@ def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["demo-linear", "--psi", "nan"], "psi must be positive and finite, got nan"),
+    (["gp", "--b", "nan"], "b must be positive and finite, got nan"),
+    (["inconsistency", "--theta", "nan"], "theta_true must be positive and finite, got nan"),
+])
+def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bayesinv: {message}\n"
+    assert not out.exists()
+
+
 def test_config_integer_for_float_parameter_kept_as_given(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta": 2, "n_values": "100,1000", "curve_points": 16}))
@@ -359,6 +371,15 @@ def test_readme_cli_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert namespace["band"].shape == (100,) and np.all(namespace["band"] > 0)
 
 
 def fresh_interpreter_env():

@@ -33,7 +33,7 @@ class TestSmoothInterior:
         assert gram_eigs[2] > 1e-12
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError, match="n >= 3"):
+        with pytest.raises(ValueError, match="n must be an integer >= 3"):
             fp.build_smooth_interior(2)
 
 

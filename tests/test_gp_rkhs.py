@@ -128,17 +128,15 @@ class TestNystrom:
 
 class TestRkhsNorm:
     def test_single_coefficient(self):
-        kern = gr.brownian_motion_kernel()
         lam1 = BM_EIGS[0]
-        assert_allclose(gr.rkhs_norm_truncated(kern, [lam1], [lam1]), lam1)
+        assert_allclose(gr.rkhs_norm_truncated([lam1], [lam1]), lam1)
 
     def test_zero_coefficients(self):
-        kern = gr.brownian_motion_kernel()
-        assert gr.rkhs_norm_truncated(kern, np.zeros(5), np.ones(5)) == 0.0
+        assert gr.rkhs_norm_truncated(np.zeros(5), np.ones(5)) == 0.0
 
     def test_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(ValueError, match="positive"):
-            gr.rkhs_norm_truncated(gr.ou_kernel(1.0), [1.0, 1.0], [1.0, 0.0])
+            gr.rkhs_norm_truncated([1.0, 1.0], [1.0, 0.0])
 
     def test_reproducing_property_truncated_mercer(self):
         # oracle: truncated Mercer series of the min kernel; the inner
@@ -149,8 +147,8 @@ class TestRkhsNorm:
         x0, x = 0.37, 0.61
         f_coeffs = np.array([lams[j - 1] * kern.analytic_eigen(j)[1](x0) for j in range(1, n_terms + 1)])
         k_coeffs = np.array([lams[j - 1] * kern.analytic_eigen(j)[1](x) for j in range(1, n_terms + 1)])
-        plus = gr.rkhs_norm_truncated(kern, f_coeffs + k_coeffs, lams)
-        minus = gr.rkhs_norm_truncated(kern, f_coeffs - k_coeffs, lams)
+        plus = gr.rkhs_norm_truncated(f_coeffs + k_coeffs, lams)
+        minus = gr.rkhs_norm_truncated(f_coeffs - k_coeffs, lams)
         inner = (plus - minus) / 4.0
         truncation_bound = 2.0 * np.sum(1.0 / ((np.arange(n_terms + 1, n_terms + 2000) - 0.5) ** 2 * math.pi**2)) + 1e-4
         assert abs(inner - kern.evaluate(x0, x)) < truncation_bound
@@ -390,27 +388,27 @@ class TestSpectralKernel:
 class TestPenaltyQuadraticForm:
     def test_zeroth_order_is_mean_square(self):
         theta = np.array([1.0, -2.0, 3.0, 0.5])
-        val = gr.penalty_quadratic_form(4, [1.0, 0.0], theta)
+        val = gr.penalty_quadratic_form([1.0, 0.0], theta)
         assert_allclose(val, (theta @ theta) / 4.0)
 
     def test_affine_input_kills_second_order(self):
         n = 50
         theta = 3.0 * np.arange(n) / n + 1.0
-        val = gr.penalty_quadratic_form(n, [0.0, 0.0, 1.0], theta)
+        val = gr.penalty_quadratic_form([0.0, 0.0, 1.0], theta)
         assert val < 1e-18
 
     def test_first_order_matches_analytic_integral(self):
         # oracle: int (f')^2 = 2 pi^2 for f = sin(2 pi x)
         n = 400
         theta = np.sin(2 * np.pi * np.arange(n) / n)
-        val = gr.penalty_quadratic_form(n, [0.0, 1.0], theta)
+        val = gr.penalty_quadratic_form([0.0, 1.0], theta)
         assert abs(val - 2 * math.pi**2) / (2 * math.pi**2) < 0.05
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError, match="n >="):
-            gr.penalty_quadratic_form(4, [1.0, 1.0, 1.0], np.zeros(4))
+            gr.penalty_quadratic_form([1.0, 1.0, 1.0], np.zeros(4))
         with pytest.raises(ValueError, match="non-negative"):
-            gr.penalty_quadratic_form(10, [1.0, -1.0], np.zeros(10))
+            gr.penalty_quadratic_form([1.0, -1.0], np.zeros(10))
 
 
 class TestBridgeToLinearPosterior:

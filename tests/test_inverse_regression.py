@@ -314,7 +314,7 @@ class TestPoissonXval:
             ir.poisson_xval_posterior([-1.0, 1.0, 1.0], [1, 1, 1], 0)
         with pytest.raises(ValueError, match="integers"):
             ir.poisson_xval_posterior([1.0, 1.0, 1.0], [0.5, 1, 1], 0)
-        with pytest.raises(ValueError, match="index"):
+        with pytest.raises(ValueError, match=r"held_out must be an integer in \[0, 2\]"):
             ir.poisson_xval_posterior([1.0, 1.0, 1.0], [1, 1, 1], 3)
 
 
@@ -334,7 +334,7 @@ class TestInconsistencyExperiment:
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             ir.inconsistency_experiment(1.0, [100, 100], seed=0)
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(ValueError, match="n_values must be an integer >= 3"):
             ir.inconsistency_experiment(1.0, [2, 100], seed=0)
         with pytest.raises(ValueError, match="theta"):
             ir.inconsistency_experiment(-1.0, [100], seed=0)

@@ -121,7 +121,7 @@ class TestIntegratedWienerCov:
         assert_allclose(sp.integrated_wiener_cov(2, x, xp), oracle, rtol=1e-10)
 
     def test_rejects_negative_fold(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="l must be an integer >= 0"):
             sp.integrated_wiener_cov(-1, 0.5, 0.5)
 
 
