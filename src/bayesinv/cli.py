@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import _checks as check
 from . import fd_priors, forward_ops, gp_rkhs, inverse_regression, linear_posterior
 from .csvio import read_csv, write_csv
 
@@ -164,6 +165,7 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> None:
 
 def cmd_gp(cfg: ExperimentConfig) -> None:
     p = cfg.params
+    num_pred = check.count("num_pred", p["num_pred"], 1)
     kernel = GP_KERNELS[p["kernel"]](p)
     if p["data"] is not None:
         # the C-order copy keeps each column contiguous for the BLAS calls
@@ -179,7 +181,7 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
     resid = float(np.max(np.abs(means - [math.fsum(row) for row in terms])))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
-    grid = np.linspace(0.0, 1.0, int(p["num_pred"]))
+    grid = np.linspace(0.0, 1.0, num_pred)
     gp_rkhs.export_gp_curve(fit, grid, str(cfg.output_dir / "curve.csv"))
     write_csv(cfg.output_dir / "data.csv", ["x", "y"], zip(xs, ys))
     _write_json(
@@ -194,6 +196,7 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
 
 def cmd_calibrate(cfg: ExperimentConfig) -> None:
     p = cfg.params
+    curve_points = check.count("curve_points", p["curve_points"], 2)
     if p["data"] is not None:
         xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()
         if p["ynew"] is None:
@@ -227,7 +230,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
     _write_manifest(cfg)
     if posterior is not None:
         lo, hi = posterior.window
-        grid = np.linspace(lo, hi, int(p["curve_points"]))
+        grid = np.linspace(lo, hi, curve_points)
         dens = posterior.pdf(grid)
         write_csv(cfg.output_dir / "posterior.csv", ["x", "density"], zip(grid, dens))
         payload["posterior_integral"] = float(np.trapezoid(dens, grid))
@@ -240,6 +243,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
 
 def cmd_inconsistency(cfg: ExperimentConfig) -> None:
     p = cfg.params
+    curve_points = check.count("curve_points", p["curve_points"], 2)
     n_values = [int(v) for v in str(p["n_values"]).split(",")]
     rows = inverse_regression.inconsistency_experiment(p["theta"], n_values, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +256,7 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> None:
     for row in rows:
         lo = max(row.posterior.window[0], 1e-9)
         hi = row.posterior.exact_mean + 6.0 * row.posterior_sd
-        grid = np.linspace(lo, hi, int(p["curve_points"]))
+        grid = np.linspace(lo, hi, curve_points)
         dens = row.posterior.pdf(grid)
         write_csv(
             cfg.output_dir / f"density_n{row.n}.csv",

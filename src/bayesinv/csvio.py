@@ -8,6 +8,7 @@ strings) is written verbatim. A bare matrix is written without a header row.
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 
@@ -38,3 +39,15 @@ def read_csv(path, header=None) -> np.ndarray:
             if found != list(header):
                 raise ValueError(f"{path}: expected header columns '{','.join(header)}'")
         return np.array([[float(v) for v in row[:width]] for row in reader])
+
+
+def _save_matrix(basepath: str, header: dict, matrix) -> None:
+    """Write ``<basepath>.json`` (``header``) and ``<basepath>.csv`` (the bare matrix)."""
+    with open(basepath + ".json", "w") as fh:
+        json.dump(header, fh, indent=2, sort_keys=True)
+    write_csv(basepath + ".csv", None, matrix)
+
+
+def _load_matrix(basepath: str) -> tuple[dict, np.ndarray]:
+    with open(basepath + ".json") as fh:
+        return json.load(fh), read_csv(basepath + ".csv")

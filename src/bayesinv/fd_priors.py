@@ -8,14 +8,13 @@ differences, and jump variants down-weight selected increments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import _checks as check
-from .csvio import read_csv, write_csv
+from .csvio import _load_matrix, _save_matrix
 
 __all__ = [
     "PrecisionRoot",
@@ -203,15 +202,11 @@ def save_precision_root(root: PrecisionRoot, basepath: str) -> None:
         "tilde_sigma": root.tilde_sigma,
         "params": root.params,
     }
-    with open(basepath + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    write_csv(basepath + ".csv", None, root.matrix)
+    _save_matrix(basepath, header, root.matrix)
 
 
 def load_precision_root(basepath: str) -> PrecisionRoot:
-    with open(basepath + ".json") as fh:
-        header = json.load(fh)
-    mat = read_csv(basepath + ".csv")
+    header, mat = _load_matrix(basepath)
     params = header["params"]
     if "jumps" in params:
         params["jumps"] = [(int(i), float(x)) for i, x in params["jumps"]]

@@ -7,14 +7,13 @@ spacing (left-endpoint quadrature). Observations follow y = K theta + noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _checks as check
-from .csvio import read_csv, write_csv
+from .csvio import _load_matrix, _save_matrix
 
 __all__ = [
     "Grid",
@@ -189,15 +188,11 @@ def save_operator(op: ForwardOperator, basepath: str) -> None:
         "row_grid": {"a": op.row_grid.a, "b": op.row_grid.b, "n": op.row_grid.n},
         "col_grid": {"a": op.col_grid.a, "b": op.col_grid.b, "n": op.col_grid.n},
     }
-    with open(basepath + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    write_csv(basepath + ".csv", None, op.matrix)
+    _save_matrix(basepath, header, op.matrix)
 
 
 def load_operator(basepath: str) -> ForwardOperator:
-    with open(basepath + ".json") as fh:
-        header = json.load(fh)
-    mat = read_csv(basepath + ".csv")
+    header, mat = _load_matrix(basepath)
     row_grid = Grid(**header["row_grid"])
     col_grid = Grid(**header["col_grid"])
     return ForwardOperator(mat, row_grid, col_grid, header["kernel_tag"], header["params"])

@@ -216,6 +216,12 @@ def rkhs_norm_truncated(theta_coeffs, eigenvalues) -> float:
     return float(np.sum(theta**2 / lam))
 
 
+def _regularized_gram(kernel: CovarianceKernel, x: np.ndarray, sigma: float) -> np.ndarray:
+    kmat = gram(kernel, x)
+    kmat.flat[:: x.size + 1] += sigma**2
+    return kmat
+
+
 @dataclass(frozen=True)
 class GPRegressionFit:
     x_train: np.ndarray
@@ -223,13 +229,17 @@ class GPRegressionFit:
     kernel: CovarianceKernel
     sigma: float
     coefficients: np.ndarray
-    chol_lower: np.ndarray = field(repr=False, default=None)
+    _chol: np.ndarray = field(repr=False)
+
+    def solve(self, v) -> np.ndarray:
+        """(K + sigma^2 I)^(-1) v for ``v`` of leading length n, by the private Cholesky factor."""
+        v = check.finite("v", v, (self.x_train.size, *np.shape(v)[1:]))
+        return linalg.cho_solve((self._chol, True), v)
 
     @functools.cached_property
     def condition_estimate(self) -> float:
         """Exact 2-norm condition number of K + sigma^2 I; its SVD runs on first read only."""
-        kmat = gram(self.kernel, self.x_train) + self.sigma**2 * np.eye(self.x_train.size)
-        return float(np.linalg.cond(kmat))
+        return float(np.linalg.cond(_regularized_gram(self.kernel, self.x_train, self.sigma)))
 
     @property
     def ill_conditioned(self) -> bool:
@@ -247,9 +257,8 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
         raise ValueError("x must be a 1-d array")
     if np.unique(x).size != x.size:
         raise ValueError("training inputs must be distinct")
-    kmat = gram(kernel, x) + sigma**2 * np.eye(x.size)
     try:
-        chol = linalg.cholesky(kmat, lower=True)
+        chol = linalg.cholesky(_regularized_gram(kernel, x, sigma), lower=True)
     except linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
     coef = linalg.cho_solve((chol, True), y)
@@ -266,14 +275,15 @@ def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized posterior mean and variance over a grid of points.
 
     The mean is the representer form sum_i c_i K(x*, x_i). The variance is
-    clamped to zero within a -1e-10 tolerance; anything lower is an error.
+    k(x*, x*) - |L^(-1) K(x_train, x*)|^2, one triangular solve on the Cholesky
+    factor L, clamped to zero within a -1e-10 tolerance; lower is an error.
     """
     xs = check.finite("xs", xs)
     smat = np.asarray(fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]), dtype=float)
     means = smat @ fit.coefficients
-    w = linalg.cho_solve((fit.chol_lower, True), smat.T)
+    w = linalg.solve_triangular(fit._chol, smat.T, lower=True)
     diag_prior = np.asarray(fit.kernel.evaluate(xs, xs), dtype=float)
-    variances = diag_prior - np.sum(smat * w.T, axis=1)
+    variances = diag_prior - np.einsum("ij,ij->j", w, w)
     if np.any(variances < -1e-10):
         raise ValueError("predictive variance below the clamping tolerance")
     return means, np.clip(variances, 0.0, None)

@@ -50,7 +50,7 @@ class GaussianPosterior:
     sigma: float
     operator: ForwardOperator
     prior: PrecisionRoot
-    chol_lower: np.ndarray = field(repr=False, default=None)
+    chol_lower: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:

@@ -3,8 +3,8 @@
 The process prior is the (m-1)-fold integrated Wiener process (covariance
 ``gp_rkhs.integrated_wiener_cov``) plus a polynomial trend of degree m-1 whose
 coefficients get a vague prior. A spline fit is ``gp_fit`` under that
-covariance, then generalized least squares for the trend against the fit's
-Cholesky factor: the exact vague-prior limit. The posterior mean is the
+covariance, then generalized least squares for the trend through the fit's
+``solve``: the exact vague-prior limit. The posterior mean is the
 classical smoothing spline of order m (cubic for the default m = 2: piecewise
 cubic between knots, linear outside them).
 """
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import _checks as check
 from .csvio import write_csv
@@ -77,9 +76,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     )
     gp = gp_fit(x, y, kernel, math.sqrt(sigma2))
     hmat = _poly_basis(x, m_order)  # n x m
-    ki_h = linalg.cho_solve((gp.chol_lower, True), hmat)
-    beta_hat = np.linalg.solve(hmat.T @ ki_h, hmat.T @ gp.coefficients)
-    coefficients = linalg.cho_solve((gp.chol_lower, True), gp.y_train - hmat @ beta_hat)
+    beta_hat = np.linalg.solve(hmat.T @ gp.solve(hmat), hmat.T @ gp.coefficients)
+    coefficients = gp.solve(gp.y_train - hmat @ beta_hat)
     return SplineFit(gp, beta_hat, coefficients, m_order)
 
 

@@ -349,6 +349,21 @@ def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gp", "--num-pred", "-1"], "num_pred must be an integer >= 1, got -1"),
+    (["gp", "--num-pred", "0"], "num_pred must be an integer >= 1, got 0"),
+    (["calibrate", "--curve-points", "-1"], "curve_points must be an integer >= 2, got -1"),
+    (["calibrate", "--curve-points", "1"], "curve_points must be an integer >= 2, got 1"),
+    (["inconsistency", "--curve-points", "-1"], "curve_points must be an integer >= 2, got -1"),
+    (["inconsistency", "--curve-points", "1"], "curve_points must be an integer >= 2, got 1"),
+])
+def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bayesinv: {message}\n"
+    assert not out.exists()
+
+
 def test_config_integer_for_float_parameter_kept_as_given(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta": 2, "n_values": "100,1000", "curve_points": 16}))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, linalg
 
+from bayesinv import cli
 from bayesinv import fd_priors as fp
 from bayesinv import forward_ops as fo
 from bayesinv import gp_rkhs as gr
@@ -293,6 +295,60 @@ class TestGPRegression:
         fit = gr.gp_fit(np.array([0.2, 0.8]), np.array([1.0, -1.0]), kern, 0.1)
         with pytest.raises(ValueError, match="variance"):
             gr.gp_predict(fit, 0.5)
+
+
+def _dense_system(data):
+    """A fit under one of the CLI's kernels with n in [2, 300], and its dense K + sigma^2 I."""
+    name = data.draw(st.sampled_from(sorted(cli.GP_KERNELS)), label="kernel")
+    kern = cli.GP_KERNELS[name]({"b": data.draw(st.floats(0.2, 5.0), label="b"),
+                                 "variance": data.draw(st.floats(0.5, 2.0), label="variance")})
+    n = data.draw(st.integers(2, 300), label="n")
+    sigma = data.draw(st.sampled_from([0.01, 0.1, 0.5]), label="sigma")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = np.sort(rng.uniform(0.02, 0.98, n))
+    fit = gr.gp_fit(x, np.sin(6.0 * x) + sigma * rng.standard_normal(n), kern, sigma)
+    return fit, gr.gram(kern, x) + sigma**2 * np.eye(n), rng
+
+
+class TestDenseFactor:
+    """``solve`` and the one-triangular-solve variances against dense references."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_variance_matches_two_solve_formula(self, data):
+        fit, kmat, rng = _dense_system(data)
+        xs = rng.uniform(0.0, 1.0, data.draw(st.integers(1, 60), label="points"))
+        _, variances = gr.gp_predict_curve(fit, xs)
+        # the two-solve form this replaced: k** - s^T (K + sigma^2 I)^(-1) s by cho_solve
+        smat = fit.kernel.evaluate(xs[:, None], fit.x_train[None, :])
+        w = linalg.cho_solve((linalg.cholesky(kmat, lower=True), True), smat.T)
+        prior = fit.kernel.evaluate(xs, xs)
+        oracle = np.clip(prior - np.sum(smat * w.T, axis=1), 0.0, None)
+        assert np.max(np.abs(variances - oracle)) <= 1e-13 * np.max(prior)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_solve_matches_dense_solve(self, data):
+        fit, kmat, rng = _dense_system(data)
+        rhs = rng.standard_normal((kmat.shape[0], 3))
+        ref = np.linalg.solve(kmat, rhs)
+        tol = 1e-14 * np.linalg.cond(kmat) * np.max(np.abs(ref))
+        assert np.max(np.abs(fit.solve(rhs) - ref)) <= tol
+        assert np.max(np.abs(fit.solve(rhs[:, 0]) - ref[:, 0])) <= tol
+        assert np.array_equal(fit.solve(fit.y_train), fit.coefficients)
+
+    def test_fits_keep_no_optional_factor(self):
+        for cls in (gr.GPRegressionFit, lp.GaussianPosterior):
+            assert all(f.default is not None for f in dataclasses.fields(cls)), cls.__name__
+
+    def test_only_the_owning_module_reads_a_factor(self):
+        # the GP factor is private to gp_rkhs; a linear posterior's factor is
+        # read only by linear_posterior
+        owners = {"_chol": "gp_rkhs.py", "chol_lower": "linear_posterior.py"}
+        for path in sorted(GP_RKHS.parent.glob("*.py")):
+            reads = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr in owners}
+            assert {owners[attr] for attr in reads} <= {path.name}, path.name
 
 
 class TestSpectralKernel:

@@ -345,13 +345,20 @@ def test_curve_export(tmp_path):
 
 
 def test_module_factors_nothing():
-    # gp_fit is the one place a GP Gram matrix is built and factored, and a
-    # fit keeps no n x n Khat beside the factor
-    banned = {"cholesky", "cho_factor", "cond"}
-    called = set()
+    # gp_fit is the one place a GP Gram matrix is built and factored, the
+    # fit's solve the one way to apply its inverse, and a fit keeps no n x n
+    # Khat beside the factor
+    banned = {"cholesky", "cho_factor", "cond", "cho_solve", "solve_triangular"}
+    called, read = set(), set()
     for node in ast.walk(ast.parse(SPLINE.read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "scipy" not in (getattr(node, "module", None) or ""), ast.dump(node)
+            assert not any(alias.name.startswith("scipy") for alias in node.names)
     assert called & banned == set()
+    assert read & {"_chol", "chol_lower"} == set()
     assert "khat" not in {f.name for f in dataclasses.fields(sp.SplineFit)}

@@ -151,6 +151,7 @@ CASES = {
                                 eigenvalues=([1.0, 0.5], A)),
     "gp_fit": case(lambda x, y, sigma: gr.gp_fit(x, y, OU, sigma),
                    x=([0.1, 0.4, 0.7], A), y=([0.0, 1.0, 0.0], A), sigma=(0.1, S)),
+    "GPRegressionFit.solve": case(GP_FIT.solve, v=(np.ones(3), A)),
     "gp_predict": case(lambda x_star: gr.gp_predict(GP_FIT, x_star), x_star=(0.5, S)),
     "gp_predict_curve": case(lambda xs: gr.gp_predict_curve(GP_FIT, xs), xs=(UNIT, A)),
     "export_gp_curve": case(lambda xs: gr.export_gp_curve(GP_FIT, xs, os.devnull), xs=(UNIT, A)),
