@@ -38,3 +38,11 @@ def count(name: str, v, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {v}")
     return int(v)
+
+
+def inside(name: str, arr: np.ndarray, domain) -> np.ndarray:
+    """``arr`` unchanged; every entry must lie in the closed interval ``domain``."""
+    lo, hi = domain
+    if not np.all((lo <= arr) & (arr <= hi)):
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
+    return arr

@@ -1,5 +1,6 @@
-"""Command-line front door: demo problems, GP fits, calibration, and the
-posterior non-contraction experiment, all emitting CSV/JSON artifacts.
+"""Command-line front door: demo problems, GP fits, calibration, the
+posterior non-contraction experiment, and the Monte Carlo coverage and risk
+studies of the calibration estimators, all emitting CSV/JSON artifacts.
 
 Every run writes a manifest.json recording the merged configuration, the
 seed, and the package version; identical manifests reproduce byte-identical
@@ -68,6 +69,21 @@ DEFAULTS = {
         "n_values": "100,1000,10000,100000",
         "curve_points": 512,
     },
+    "coverage": {
+        "n_reps": 10000,
+        "beta_true": 5.0,
+        "sigma": 1.0,
+        "n": 30,
+        "alpha": 0.05,
+        "x_true": 1.0,
+    },
+    "risk": {
+        "n_reps": 10000,
+        "beta_true": 1.0,
+        "sigma": 1.0,
+        "n": 20,
+        "x_true": 0.5,
+    },
 }
 # settings every command takes, as a flag or a config key, outside the params
 RUN_DEFAULTS = {"seed": 0, "out": None}
@@ -88,6 +104,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig) -> None:
+    """Create the output directory and write its manifest: the run's first write."""
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(
         cfg.output_dir / "manifest.json",
         {
@@ -145,7 +163,6 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> None:
     truth = TRUTHS[p["truth"]]((grid.nodes - grid.a) / (grid.b - grid.a))
     y = forward_ops.simulate_data(op, truth, p["sigma"], cfg.seed)
     post = linear_posterior.fit(op, prior, y, p["sigma"])
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
     xs = op.col_grid.nodes
     write_csv(cfg.output_dir / "truth.csv", ["x", "theta_true"], zip(xs, truth))
@@ -175,11 +192,10 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
         xs = np.sort(rng.uniform(0.02, 0.98, int(p["n"])))
         ys = np.sin(2.0 * math.pi * xs) + p["sigma"] * rng.standard_normal(xs.size)
     fit = gp_rkhs.gp_fit(xs, ys, kernel, p["sigma"])
-    # representer identity: predictive means against exactly rounded sum_j c_j K(x_i, x_j)
-    means, _ = gp_rkhs.gp_predict_curve(fit, xs)
-    terms = kernel.evaluate(xs[:, None], xs[None, :]) * fit.coefficients
-    resid = float(np.max(np.abs(means - [math.fsum(row) for row in terms])))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    # representer identity: predictive means K c against exactly rounded sum_j c_j K(x_i, x_j)
+    kmat = gp_rkhs.gram(kernel, xs)
+    terms = kmat * fit.coefficients
+    resid = float(np.max(np.abs(kmat @ fit.coefficients - [math.fsum(row) for row in terms])))
     _write_manifest(cfg)
     grid = np.linspace(0.0, 1.0, num_pred)
     gp_rkhs.export_gp_curve(fit, grid, str(cfg.output_dir / "curve.csv"))
@@ -226,7 +242,6 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
     if math.isfinite(est.f_stat) and data.n >= 4:
         prior = inverse_regression.hoadley_informative_prior(data.n)
         posterior = inverse_regression.hoadley_posterior(data, prior)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
     if posterior is not None:
         lo, hi = posterior.window
@@ -246,7 +261,6 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> None:
     curve_points = check.count("curve_points", p["curve_points"], 2)
     n_values = [int(v) for v in str(p["n_values"]).split(",")]
     rows = inverse_regression.inconsistency_experiment(p["theta"], n_values, cfg.seed)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg)
     write_csv(
         cfg.output_dir / "table.csv",
@@ -269,17 +283,55 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> None:
     )
 
 
+def cmd_coverage(cfg: ExperimentConfig) -> None:
+    res = inverse_regression.coverage_experiment(**cfg.params, seed=cfg.seed)
+    _write_manifest(cfg)
+    write_csv(
+        cfg.output_dir / "replications.csv",
+        ["replication", "x_classical", "x_inverse", "covered"],
+        zip(range(res.covered.size), res.x_classical, res.x_inverse, res.covered.astype(int)),
+    )
+    _write_json(cfg.output_dir / "summary.json", {"coverage": res.coverage})
+
+
+def _ratio(num: float, den: float):
+    """num / den, or None (JSON null) where noise-free data make den zero."""
+    return num / den if den else None
+
+
+def cmd_risk(cfg: ExperimentConfig) -> None:
+    res = inverse_regression.estimator_risk_experiment(**cfg.params, seed=cfg.seed)
+    _write_manifest(cfg)
+    write_csv(
+        cfg.output_dir / "replications.csv",
+        ["replication", "x_classical", "x_inverse"],
+        zip(range(res.x_inverse.size), res.x_classical, res.x_inverse),
+    )
+    _write_json(
+        cfg.output_dir / "summary.json",
+        {
+            "mse_inverse_half_over_full": _ratio(res.mse_inverse_half, res.mse_inverse_full),
+            "max_over_median_abs_classical": _ratio(res.max_abs_classical,
+                                                    res.median_abs_classical),
+        },
+    )
+
+
 HANDLERS = {
     "demo-linear": cmd_demo_linear,
     "gp": cmd_gp,
     "calibrate": cmd_calibrate,
     "inconsistency": cmd_inconsistency,
+    "coverage": cmd_coverage,
+    "risk": cmd_risk,
 }
 HELP = {
     "demo-linear": "simulate, fit, and export a linear inverse problem",
     "gp": "Gaussian-process regression on supplied or simulated data",
     "calibrate": "inverse linear regression estimates and posteriors",
     "inconsistency": "posterior non-contraction table and curves",
+    "coverage": "Monte Carlo coverage of the calibration confidence set",
+    "risk": "Monte Carlo risk of the classical and inverse covariate estimators",
 }
 
 

@@ -42,7 +42,7 @@ SINGLE_JUMP = "single_jump"
 MULTI_JUMP = "multi_jump"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecisionRoot:
     matrix: np.ndarray
     variant: str

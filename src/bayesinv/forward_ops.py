@@ -55,7 +55,7 @@ class Grid:
         return self.a + np.arange(self.n) * self.spacing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardOperator:
     """Dense discretization of an integral kernel, plus grid metadata."""
 

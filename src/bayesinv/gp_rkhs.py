@@ -3,9 +3,11 @@ kernels induced by differential penalty operators via spectral inversion:
 the rational spectrum of sum_m b_m int (theta^(m))^2 inverts exactly as the
 stationary covariance of a linear SDE of order M (its state-space form).
 
-Kernels are value objects with a broadcasting ``evaluate(x, x')`` callable.
-Kernels with a known eigen-system under the uniform measure on [0, 1] carry
-``analytic_eigen(j) -> (lambda_j, psi_j)`` with 1-based index j.
+Kernels are value objects with a broadcasting ``evaluate(x, x')`` callable
+and the closed interval ``domain`` on which it is a covariance; GP fits and
+predictions reject points outside it. Kernels with a known eigen-system under
+the uniform measure on [0, 1] carry ``analytic_eigen(j) -> (lambda_j, psi_j)``
+with 1-based index j.
 
 The l-fold integrated Wiener process on [0, 1] (the prior behind every
 smoothing spline and the cubic-spline kernel) has one closed-form covariance
@@ -54,9 +56,8 @@ CONDITION_WARN_THRESHOLD = 1e12
 @dataclass(frozen=True)
 class CovarianceKernel:
     evaluate: Callable[..., np.ndarray]
-    tag: str
-    params: dict = field(default_factory=dict)
     analytic_eigen: Optional[Callable[[int], tuple]] = None
+    domain: tuple[float, float] = (-math.inf, math.inf)
 
 
 def ou_kernel(b: float) -> CovarianceKernel:
@@ -66,7 +67,7 @@ def ou_kernel(b: float) -> CovarianceKernel:
     def evaluate(x, xp):
         return np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
 
-    return CovarianceKernel(evaluate, "ornstein_uhlenbeck", {"b": b})
+    return CovarianceKernel(evaluate)
 
 
 def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
@@ -82,7 +83,7 @@ def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
         r2 = diff**2 if d == 1 else np.sum(diff**2, axis=-1)
         return norm * np.exp(-r2 / (2.0 * b * b))
 
-    return CovarianceKernel(evaluate, "squared_exponential", {"b": b, "d": d})
+    return CovarianceKernel(evaluate)
 
 
 def brownian_motion_kernel() -> CovarianceKernel:
@@ -100,7 +101,7 @@ def brownian_motion_kernel() -> CovarianceKernel:
         freq = (j - 0.5) * math.pi
         return 1.0 / freq**2, lambda x: math.sqrt(2.0) * np.sin(freq * np.asarray(x))
 
-    return CovarianceKernel(evaluate, "brownian_motion", {}, analytic_eigen)
+    return CovarianceKernel(evaluate, analytic_eigen, (0.0, 1.0))
 
 
 def integrated_wiener_cov(l: int, x, x_prime):
@@ -135,7 +136,7 @@ def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
     def evaluate(x, xp):
         return variance * integrated_wiener_cov(1, x, xp)
 
-    return CovarianceKernel(evaluate, "spline_cubic", {"variance": variance})
+    return CovarianceKernel(evaluate, domain=(0.0, 1.0))
 
 
 def spectral_numeric_kernel(b) -> CovarianceKernel:
@@ -145,7 +146,7 @@ def spectral_numeric_kernel(b) -> CovarianceKernel:
     def evaluate(x, xp):
         return spectral_kernel(b, np.asarray(x, dtype=float) - xp)
 
-    return CovarianceKernel(evaluate, "spectral_numeric", {"b": list(map(float, b))})
+    return CovarianceKernel(evaluate)
 
 
 def matrix_kernel(points, cov) -> CovarianceKernel:
@@ -179,7 +180,7 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
             return float(out)
         return out
 
-    return CovarianceKernel(evaluate, "custom", {"kind": "matrix"})
+    return CovarianceKernel(evaluate)
 
 
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:
@@ -222,7 +223,7 @@ def _regularized_gram(kernel: CovarianceKernel, x: np.ndarray, sigma: float) -> 
     return kmat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPRegressionFit:
     x_train: np.ndarray
     y_train: np.ndarray
@@ -249,7 +250,7 @@ class GPRegressionFit:
 def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     """Solve (K + sigma^2 I) c = y by Cholesky; the factor is kept on the fit."""
     sigma = check.positive("sigma", sigma)
-    x = check.finite("x", x)
+    x = check.inside("x", check.finite("x", x), kernel.domain)
     y = check.finite("y", y, x.shape)
     if x.size == 0:
         raise ValueError("x must hold at least one training input")
@@ -267,7 +268,8 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
 
 def gp_predict(fit: GPRegressionFit, x_star: float):
     """Posterior mean and variance at a single point (``gp_predict_curve`` at one point)."""
-    means, variances = gp_predict_curve(fit, [check.finite("x_star", x_star, ())])
+    x_star = check.inside("x_star", check.finite("x_star", x_star, ()), fit.kernel.domain)
+    means, variances = gp_predict_curve(fit, [x_star])
     return float(means[0]), float(variances[0])
 
 
@@ -278,7 +280,7 @@ def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
     k(x*, x*) - |L^(-1) K(x_train, x*)|^2, one triangular solve on the Cholesky
     factor L, clamped to zero within a -1e-10 tolerance; lower is an error.
     """
-    xs = check.finite("xs", xs)
+    xs = check.inside("xs", check.finite("xs", xs), fit.kernel.domain)
     smat = np.asarray(fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]), dtype=float)
     means = smat @ fit.coefficients
     w = linalg.solve_triangular(fit._chol, smat.T, lower=True)

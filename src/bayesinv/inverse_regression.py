@@ -50,7 +50,7 @@ __all__ = [
 # data and point estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationData:
     x: np.ndarray
     y: np.ndarray
@@ -586,7 +586,7 @@ def _draw(x, m, alpha_true, beta_true, sigma, x_true, seeds):
             alpha_true + beta_true * x_true + sigma * z[:, n:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageResult:
     coverage: float
     covered: np.ndarray
@@ -621,7 +621,7 @@ def coverage_experiment(
                           alpha, x_true)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskResult:
     x_classical: np.ndarray
     x_inverse: np.ndarray

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     hessian: np.ndarray
     mean: np.ndarray

@@ -45,7 +45,7 @@ def _poly_basis(x, m_order: int) -> np.ndarray:
     return np.vander(x, m_order, increasing=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineFit:
     gp: GPRegressionFit
     beta_hat: np.ndarray
@@ -72,7 +72,7 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     check.count("m_order", m_order, 1, 3)
 
     kernel = CovarianceKernel(
-        lambda a, b: sigma2_theta * integrated_wiener_cov(m_order - 1, a, b), "integrated_wiener"
+        lambda a, b: sigma2_theta * integrated_wiener_cov(m_order - 1, a, b), domain=(0.0, 1.0)
     )
     gp = gp_fit(x, y, kernel, math.sqrt(sigma2))
     hmat = _poly_basis(x, m_order)  # n x m
@@ -84,8 +84,7 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
 def spline_predict(fit: SplineFit, x_star):
     """Posterior-mean prediction h(x*)^T beta + s(x*)^T Khat^(-1)(y - H beta)."""
     xs = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if not np.all((0.0 <= xs) & (xs <= 1.0)):
-        raise ValueError("x_star must lie in [0, 1]")
+    check.inside("x_star", xs, fit.gp.kernel.domain)
     s = fit.gp.kernel.evaluate(xs[:, None], fit.x_train[None, :])
     vals = _poly_basis(xs, fit.m_order) @ fit.beta_hat + s @ fit.coefficients
     return float(vals[0]) if np.isscalar(x_star) or np.asarray(x_star).ndim == 0 else vals

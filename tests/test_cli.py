@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import math
@@ -137,6 +138,17 @@ class TestGP:
         assert (out / "summary.json").exists()
 
 
+    def test_point_outside_kernel_domain_named_and_writes_nothing(self, tmp_path, capsys):
+        # min(x, x') is a covariance on [0, 1] only; the fit refuses the point
+        # before the run directory exists
+        data = tmp_path / "obs.csv"
+        data.write_text("x,y\n-0.005,0.1\n0.5,0.3\n0.9,-0.2\n")
+        out = tmp_path / "o"
+        assert run_cli(["gp", "--kernel", "brownian", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "bayesinv: x must lie in [0, 1]\n"
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_perfectly_linear_dataset(self, tmp_path):
         data = tmp_path / "line.csv"
@@ -236,6 +248,8 @@ class TestInconsistency:
     ["gp", "--kernel", "spline", "--n", "12", "--num-pred", "21", "--seed", "3"],
     ["calibrate", "--n", "15", "--curve-points", "51", "--seed", "0"],
     ["inconsistency", "--n-values", "100,1000", "--curve-points", "32", "--seed", "1"],
+    ["coverage", "--n-reps", "40", "--seed", "5"],
+    ["risk", "--n-reps", "40", "--seed", "5"],
 ])
 def test_csv_outputs_follow_documented_contract(tmp_path, argv):
     # every cell is an integer literal or a float written with repr, and
@@ -253,6 +267,49 @@ def test_csv_outputs_follow_documented_contract(tmp_path, argv):
         assert rows
         for cell in (cell for row in rows for cell in row):
             assert re.fullmatch(r"-?\d+", cell) or repr(float(cell)) == cell, (path.name, cell)
+
+
+@pytest.mark.parametrize("command", ["coverage", "risk"])
+def test_study_writes_documented_table(tmp_path, command):
+    out = tmp_path / command
+    assert run_cli([command, "--n-reps", "300", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "replications.csv",
+                                                     "summary.json"]
+    with open(out / "replications.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [header] == [cols for _, cols in documented_csv_headers()[command]]
+    assert [int(r[0]) for r in rows] == list(range(300))
+    if "covered" in header:
+        covered = [int(r[3]) for r in rows]
+        assert set(covered) <= {0, 1}
+        assert read_json(out / "summary.json")["coverage"] == sum(covered) / 300
+    assert read_json(out / "manifest.json")["params"]["n_reps"] == 300
+
+
+def test_risk_ratio_without_denominator_is_null(tmp_path):
+    # noise-free data give the inverse estimator an MSE of exactly 0
+    out = tmp_path / "risk"
+    assert run_cli(["risk", "--sigma", "0", "--n-reps", "20", "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["mse_inverse_half_over_full"] is None
+    assert summary["max_over_median_abs_classical"] == 1.0
+
+
+def test_only_cli_imports_argparse():
+    # every command line goes through cli's one parameter table
+    root = Path(__file__).resolve().parent.parent
+    importers = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "scripts").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "argparse" in names:
+                importers.append(path.relative_to(root).as_posix())
+    assert importers == ["src/bayesinv/cli.py"]
 
 
 def flag_surface(parser):
@@ -313,6 +370,21 @@ def test_flag_surface_is_unchanged():
             ("--n-values", "n_values", "str", None),
             ("--curve-points", "curve_points", "int", None),
         ],
+        "coverage": run + [
+            ("--n-reps", "n_reps", "int", None),
+            ("--beta-true", "beta_true", "float", None),
+            ("--sigma", "sigma", "float", None),
+            ("--n", "n", "int", None),
+            ("--alpha", "alpha", "float", None),
+            ("--x-true", "x_true", "float", None),
+        ],
+        "risk": run + [
+            ("--n-reps", "n_reps", "int", None),
+            ("--beta-true", "beta_true", "float", None),
+            ("--sigma", "sigma", "float", None),
+            ("--n", "n", "int", None),
+            ("--x-true", "x_true", "float", None),
+        ],
     }
 
 
@@ -326,6 +398,8 @@ def test_flag_surface_is_unchanged():
     ("demo-linear", {"seed": "abc"}, "config key 'seed'"),
     ("demo-linear", {"out": 5}, "config key 'out'"),
     ("demo-linear", [1, 2], "not a JSON object"),
+    ("coverage", {"n_reps": 300.0}, "config key 'n_reps'"),
+    ("risk", {"x_true": "0.5"}, "config key 'x_true'"),
 ])
 def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, command,
                                                              file_cfg, message):
@@ -356,6 +430,9 @@ def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, messag
     (["calibrate", "--curve-points", "1"], "curve_points must be an integer >= 2, got 1"),
     (["inconsistency", "--curve-points", "-1"], "curve_points must be an integer >= 2, got -1"),
     (["inconsistency", "--curve-points", "1"], "curve_points must be an integer >= 2, got 1"),
+    (["coverage", "--n-reps", "0"], "n_reps must be an integer >= 1, got 0"),
+    (["risk", "--n-reps", "1"], "n_reps must be an integer >= 2, got 1"),
+    (["risk", "--n", "2"], "n must be an integer >= 3, got 2"),
 ])
 def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

@@ -53,6 +53,8 @@ RUNS = {
                          "--curve-points", "51", "--seed", "1"),
     "inconsistency": _cli("inconsistency", "--n-values", "100,1000", "--curve-points", "32",
                           "--seed", "1"),
+    "coverage": _cli("coverage", "--n-reps", "300", "--seed", "123"),
+    "risk": _cli("risk", "--n-reps", "300", "--seed", "2024"),
     "operator_gravity": _saved(fo.save_operator,
                                lambda: fo.make_gravity(fo.Grid(-5.0, 5.0, 6), 1.0)),
     "prior_jump": _saved(fp.save_precision_root, lambda: fp.build_jump(6, [(3, 0.25)], 0.5)),

@@ -291,10 +291,36 @@ class TestGPRegression:
             x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
             return np.where((x == 0.5) & (xp == 0.5), -1.0, base.evaluate(x, xp))
 
-        kern = gr.CovarianceKernel(lying, "custom")
+        kern = gr.CovarianceKernel(lying)
         fit = gr.gp_fit(np.array([0.2, 0.8]), np.array([1.0, -1.0]), kern, 0.1)
         with pytest.raises(ValueError, match="variance"):
             gr.gp_predict(fit, 0.5)
+
+
+class TestKernelDomain:
+    """Points outside a kernel's domain are refused by name, before any factorization."""
+
+    def test_domains(self):
+        for kern in (gr.brownian_motion_kernel(), gr.spline_cubic_kernel()):
+            assert kern.domain == (0.0, 1.0)
+        for kern in (gr.ou_kernel(1.0), gr.squared_exponential_kernel(0.3),
+                     gr.spectral_numeric_kernel([1.0, 1.0])):
+            assert kern.domain == (-math.inf, math.inf)
+        fit = sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.0)
+        assert fit.gp.kernel.domain == (0.0, 1.0)
+
+    def test_curve_outside_names_the_points(self):
+        fit = gr.gp_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], gr.brownian_motion_kernel(), 0.1)
+        with pytest.raises(ValueError, match=r"^xs must lie in \[0, 1\]$"):
+            gr.gp_predict_curve(fit, [0.0, 0.5, 1.5])
+        # the closed interval: both ends are inside
+        means, variances = gr.gp_predict_curve(fit, [0.0, 1.0])
+        assert means[0] == 0.0 and variances[0] == 0.0 and variances[1] > 0.0
+
+    @pytest.mark.parametrize("kern", [gr.brownian_motion_kernel(), gr.spline_cubic_kernel()])
+    def test_fit_outside_names_x(self, kern):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+            gr.gp_fit([-0.005, 0.5, 0.9], [0.1, 0.3, -0.2], kern, 0.1)
 
 
 def _dense_system(data):

@@ -59,6 +59,8 @@ LEAKS = [
     ("x_all", lambda: ir.poisson_xval_posterior([NAN, 1.0, 1.0], [3, 2, 4], 1)),
     ("theta_true", lambda: ir.inconsistency_experiment(NAN, [100], 0)),
     ("k", lambda: lp.sample(POST, 2.5, 0)),
+    ("x_star", lambda: gr.gp_predict(gr.gp_fit([0.2, 0.5, 0.8], [0, 1, 0],
+                                               gr.brownian_motion_kernel(), 0.1), -1.0)),
 ]
 
 
@@ -93,7 +95,7 @@ def _array(valid):
 
 OU = gr.ou_kernel(1.0)
 BM = gr.brownian_motion_kernel()
-GP_FIT = gr.gp_fit([0.1, 0.4, 0.7], [0.0, 1.0, 0.0], OU, 0.1)
+GP_FIT = gr.gp_fit([0.1, 0.4, 0.7], [0.0, 1.0, 0.0], BM, 0.1)
 SPLINE_FIT = sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.0)
 EST = ir.fit_calibration(ir.simulate_calibration(12, 1, 0.0, 2.0, 1.0, 0.5, 3))
 DENSITY = ir.Density1D(lambda t: -0.5 * t * t, (-INF, INF))
@@ -149,7 +151,7 @@ CASES = {
     "nystrom_eigen": case(lambda n, count: gr.nystrom_eigen(BM, n, count, 0), n=(6, C), count=(2, C)),
     "rkhs_norm_truncated": case(gr.rkhs_norm_truncated, theta_coeffs=([1.0, 2.0], A),
                                 eigenvalues=([1.0, 0.5], A)),
-    "gp_fit": case(lambda x, y, sigma: gr.gp_fit(x, y, OU, sigma),
+    "gp_fit": case(lambda x, y, sigma: gr.gp_fit(x, y, BM, sigma),
                    x=([0.1, 0.4, 0.7], A), y=([0.0, 1.0, 0.0], A), sigma=(0.1, S)),
     "GPRegressionFit.solve": case(GP_FIT.solve, v=(np.ones(3), A)),
     "gp_predict": case(lambda x_star: gr.gp_predict(GP_FIT, x_star), x_star=(0.5, S)),
@@ -243,3 +245,27 @@ def test_policy_messages_only_in_checks_module():
         text = path.read_text()
         for literal in ("must be finite", "must be positive and finite"):
             assert literal not in text, f"{path.name} spells out '{literal}'"
+
+
+# ---------------------------------------------------------------------------
+# value objects holding arrays compare by identity
+# ---------------------------------------------------------------------------
+
+ARRAY_HOLDERS = {
+    "ForwardOperator": lambda: fo.make_gaussian_blur(GRID, 0.2),
+    "PrecisionRoot": lambda: fp.build_nonsmooth(5),
+    "GaussianPosterior": lambda: lp.fit(fo.make_identity(GRID), ROOT, np.ones(5), 1.0),
+    "GPRegressionFit": lambda: gr.gp_fit([0.1, 0.4, 0.7], [0.0, 1.0, 0.0], BM, 0.1),
+    "SplineFit": lambda: sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.0),
+    "CalibrationData": lambda: ir.simulate_calibration(12, 1, 0.0, 2.0, 1.0, 0.5, 3),
+    "CoverageResult": lambda: ir.coverage_experiment(5, 5.0, 1.0, 8, 0.05, 1.0, 0),
+    "RiskResult": lambda: ir.estimator_risk_experiment(4, 1.0, 1.0, 6, 0.5, 0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b  # equal contents, distinct objects; no elementwise truth value
+    assert hash(a) == hash(a) and len({a, b}) == 2
