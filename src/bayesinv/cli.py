@@ -2,10 +2,11 @@
 posterior non-contraction experiment, and the Monte Carlo coverage and risk
 studies of the calibration estimators, all emitting CSV/JSON artifacts.
 
-Every run writes a manifest.json recording the merged configuration, the
-seed, and the package version; identical manifests reproduce byte-identical
-CSV outputs. Flag values override config-file values, which override the
-built-in defaults. See FORMATS.md for the CSV column contracts.
+Each command computes everything and returns its files; ``_write_run`` then
+writes manifest.json (the merged configuration, the seed, and the package
+version) and those files, so a failed run writes nothing. Identical manifests
+reproduce byte-identical CSV outputs. Flag values override config-file values,
+which override the built-in defaults. See FORMATS.md for the file contracts.
 """
 
 from __future__ import annotations
@@ -97,24 +98,31 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_run(cfg: ExperimentConfig, outputs: dict) -> None:
+    """Create the run's directory and write manifest.json, then each output in order.
 
-
-def _write_manifest(cfg: ExperimentConfig) -> None:
-    """Create the output directory and write its manifest: the run's first write."""
+    A ``.csv`` output is a ``(header, rows)`` pair for ``write_csv``; a
+    ``.json`` output is the dict to dump.
+    """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        cfg.output_dir / "manifest.json",
-        {
-            "command": cfg.command,
-            "seed": cfg.seed,
-            "package_version": __version__,
-            "params": cfg.params,
-        },
-    )
+    manifest = {"command": cfg.command, "seed": cfg.seed, "package_version": __version__,
+                "params": cfg.params}
+    for name, content in {"manifest.json": manifest, **outputs}.items():
+        if name.endswith(".csv"):
+            write_csv(cfg.output_dir / name, *content)
+        else:
+            with open(cfg.output_dir / name, "w") as fh:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+
+def _comma_list(key: str, value: str, kind: type) -> list:
+    """The items of a comma-separated parameter, each read by ``kind``."""
+    try:
+        return [kind(v) for v in value.split(",")]
+    except ValueError:
+        raise ValueError(f"{key} must be a comma-separated list of {kind.__name__}s, "
+                         f"got '{value}'") from None
 
 
 def _grid(a: float, b: float, p: dict) -> forward_ops.Grid:
@@ -155,7 +163,7 @@ SELECTORS = {
 }
 
 
-def cmd_demo_linear(cfg: ExperimentConfig) -> None:
+def cmd_demo_linear(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     op = OPERATORS[p["kernel"]](p)
     grid = op.col_grid
@@ -163,24 +171,21 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> None:
     truth = TRUTHS[p["truth"]]((grid.nodes - grid.a) / (grid.b - grid.a))
     y = forward_ops.simulate_data(op, truth, p["sigma"], cfg.seed)
     post = linear_posterior.fit(op, prior, y, p["sigma"])
-    _write_manifest(cfg)
-    xs = op.col_grid.nodes
-    write_csv(cfg.output_dir / "truth.csv", ["x", "theta_true"], zip(xs, truth))
-    write_csv(cfg.output_dir / "data.csv", ["x", "y"], zip(op.row_grid.nodes, y))
-    linear_posterior.export_posterior_bands(post, str(cfg.output_dir / "posterior.csv"))
-    rmse_map = float(np.sqrt(np.mean((post.mean - truth) ** 2)))
-    rmse_data = float(np.sqrt(np.mean((y - truth) ** 2)))
-    _write_json(
-        cfg.output_dir / "summary.json",
-        {
-            "rmse_map": rmse_map,
-            "rmse_data": rmse_data,
+    sd = linear_posterior.posterior_sd(post)
+    return {
+        "truth.csv": (["x", "theta_true"], zip(grid.nodes, truth)),
+        "data.csv": (["x", "y"], zip(op.row_grid.nodes, y)),
+        "posterior.csv": (["x", "mean", "lower", "upper"],
+                          zip(grid.nodes, post.mean, post.mean - 2 * sd, post.mean + 2 * sd)),
+        "summary.json": {
+            "rmse_map": float(np.sqrt(np.mean((post.mean - truth) ** 2))),
+            "rmse_data": float(np.sqrt(np.mean((y - truth) ** 2))),
             "objective_at_map": linear_posterior.tikhonov_objective(post, post.mean, y),
         },
-    )
+    }
 
 
-def cmd_gp(cfg: ExperimentConfig) -> None:
+def cmd_gp(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     num_pred = check.count("num_pred", p["num_pred"], 1)
     kernel = GP_KERNELS[p["kernel"]](p)
@@ -196,29 +201,30 @@ def cmd_gp(cfg: ExperimentConfig) -> None:
     kmat = gp_rkhs.gram(kernel, xs)
     terms = kmat * fit.coefficients
     resid = float(np.max(np.abs(kmat @ fit.coefficients - [math.fsum(row) for row in terms])))
-    _write_manifest(cfg)
     grid = np.linspace(0.0, 1.0, num_pred)
-    gp_rkhs.export_gp_curve(fit, grid, str(cfg.output_dir / "curve.csv"))
-    write_csv(cfg.output_dir / "data.csv", ["x", "y"], zip(xs, ys))
-    _write_json(
-        cfg.output_dir / "summary.json",
-        {
+    means, variances = gp_rkhs.gp_predict_curve(fit, grid)
+    return {
+        "curve.csv": (["x", "mean", "sd"], zip(grid, means, np.sqrt(variances))),
+        "data.csv": (["x", "y"], zip(xs, ys)),
+        "summary.json": {
             "representer_residual_max": resid,
             "condition_estimate": fit.condition_estimate,
             "ill_conditioned": bool(fit.ill_conditioned),
         },
-    )
+    }
 
 
-def cmd_calibrate(cfg: ExperimentConfig) -> None:
+def cmd_calibrate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     curve_points = check.count("curve_points", p["curve_points"], 2)
     if p["data"] is not None:
         xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()
         if p["ynew"] is None:
             raise ValueError("--ynew is required when --data is given")
-        y_new = np.array([float(v) for v in str(p["ynew"]).split(",")])
+        y_new = _comma_list("ynew", p["ynew"], float)
         data = inverse_regression.make_calibration_data(xs, ys, y_new)
+    elif p["ynew"] is not None:
+        raise ValueError("--ynew is used only when --data is given")
     else:
         data = inverse_regression.simulate_calibration(
             int(p["n"]), int(p["m"]), p["alpha_true"], p["beta_true"],
@@ -238,60 +244,49 @@ def cmd_calibrate(cfg: ExperimentConfig) -> None:
     else:
         payload["confidence_set"] = None
         payload["confidence_set_note"] = "the set inversion applies to m = 1 only"
-    posterior = None
+    outputs = {}
     if math.isfinite(est.f_stat) and data.n >= 4:
         prior = inverse_regression.hoadley_informative_prior(data.n)
         posterior = inverse_regression.hoadley_posterior(data, prior)
-    _write_manifest(cfg)
-    if posterior is not None:
-        lo, hi = posterior.window
-        grid = np.linspace(lo, hi, curve_points)
+        grid = np.linspace(*posterior.window, curve_points)
         dens = posterior.pdf(grid)
-        write_csv(cfg.output_dir / "posterior.csv", ["x", "density"], zip(grid, dens))
+        outputs["posterior.csv"] = (["x", "density"], zip(grid, dens))
         payload["posterior_integral"] = float(np.trapezoid(dens, grid))
         payload["posterior_mean"] = posterior.mean()
     else:
         payload["posterior_integral"] = None
         payload["posterior_note"] = "degenerate fit: posterior curve not written"
-    _write_json(cfg.output_dir / "estimates.json", payload)
+    return {**outputs, "estimates.json": payload}
 
 
-def cmd_inconsistency(cfg: ExperimentConfig) -> None:
+def cmd_inconsistency(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     curve_points = check.count("curve_points", p["curve_points"], 2)
-    n_values = [int(v) for v in str(p["n_values"]).split(",")]
+    n_values = _comma_list("n_values", p["n_values"], int)
     rows = inverse_regression.inconsistency_experiment(p["theta"], n_values, cfg.seed)
-    _write_manifest(cfg)
-    write_csv(
-        cfg.output_dir / "table.csv",
-        ["n", "posterior_sd", "x_true"],
-        [(row.n, row.posterior_sd, row.x_true) for row in rows],
-    )
+    outputs = {"table.csv": (["n", "posterior_sd", "x_true"],
+                             [(row.n, row.posterior_sd, row.x_true) for row in rows])}
     for row in rows:
         lo = max(row.posterior.window[0], 1e-9)
         hi = row.posterior.exact_mean + 6.0 * row.posterior_sd
         grid = np.linspace(lo, hi, curve_points)
         dens = row.posterior.pdf(grid)
-        write_csv(
-            cfg.output_dir / f"density_n{row.n}.csv",
-            ["x", "density", "x_true"],
-            ((a, b, row.x_true) for a, b in zip(grid, dens)),
-        )
-    _write_json(
-        cfg.output_dir / "summary.json",
-        {"sd_ratio_last_over_first": rows[-1].posterior_sd / rows[0].posterior_sd},
-    )
+        # a list, not a generator: a generator would read row.x_true after the loop moved on
+        outputs[f"density_n{row.n}.csv"] = (["x", "density", "x_true"],
+                                             [(a, b, row.x_true) for a, b in zip(grid, dens)])
+    ratio = rows[-1].posterior_sd / rows[0].posterior_sd
+    return {**outputs, "summary.json": {"sd_ratio_last_over_first": ratio}}
 
 
-def cmd_coverage(cfg: ExperimentConfig) -> None:
+def cmd_coverage(cfg: ExperimentConfig) -> dict:
     res = inverse_regression.coverage_experiment(**cfg.params, seed=cfg.seed)
-    _write_manifest(cfg)
-    write_csv(
-        cfg.output_dir / "replications.csv",
-        ["replication", "x_classical", "x_inverse", "covered"],
-        zip(range(res.covered.size), res.x_classical, res.x_inverse, res.covered.astype(int)),
-    )
-    _write_json(cfg.output_dir / "summary.json", {"coverage": res.coverage})
+    return {
+        "replications.csv": (
+            ["replication", "x_classical", "x_inverse", "covered"],
+            zip(range(res.covered.size), res.x_classical, res.x_inverse, res.covered.astype(int)),
+        ),
+        "summary.json": {"coverage": res.coverage},
+    }
 
 
 def _ratio(num: float, den: float):
@@ -299,22 +294,17 @@ def _ratio(num: float, den: float):
     return num / den if den else None
 
 
-def cmd_risk(cfg: ExperimentConfig) -> None:
+def cmd_risk(cfg: ExperimentConfig) -> dict:
     res = inverse_regression.estimator_risk_experiment(**cfg.params, seed=cfg.seed)
-    _write_manifest(cfg)
-    write_csv(
-        cfg.output_dir / "replications.csv",
-        ["replication", "x_classical", "x_inverse"],
-        zip(range(res.x_inverse.size), res.x_classical, res.x_inverse),
-    )
-    _write_json(
-        cfg.output_dir / "summary.json",
-        {
+    return {
+        "replications.csv": (["replication", "x_classical", "x_inverse"],
+                             zip(range(res.x_inverse.size), res.x_classical, res.x_inverse)),
+        "summary.json": {
             "mse_inverse_half_over_full": _ratio(res.mse_inverse_half, res.mse_inverse_full),
             "max_over_median_abs_classical": _ratio(res.max_abs_classical,
                                                     res.median_abs_classical),
         },
-    )
+    }
 
 
 HANDLERS = {
@@ -404,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        HANDLERS[cfg.command](cfg)
+        _write_run(cfg, HANDLERS[cfg.command](cfg))
     except FileNotFoundError as exc:
         print(f"bayesinv: cannot read input file: {exc}", file=sys.stderr)
         return 1

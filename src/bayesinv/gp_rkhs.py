@@ -27,7 +27,6 @@ import numpy as np
 from scipy import linalg
 
 from . import _checks as check
-from .csvio import write_csv
 
 __all__ = [
     "CovarianceKernel",
@@ -47,7 +46,6 @@ __all__ = [
     "gp_predict_curve",
     "spectral_kernel",
     "penalty_quadratic_form",
-    "export_gp_curve",
 ]
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -363,10 +361,3 @@ def penalty_quadratic_form(b, theta) -> float:
         diffs = np.convolve(theta, stencil[::-1], mode="valid") * float(n) ** m
         total += b[m] * float(diffs @ diffs) / n
     return total
-
-
-def export_gp_curve(fit: GPRegressionFit, xs, path: str) -> None:
-    """CSV of (x, mean, sd) over the given grid."""
-    xs = np.asarray(xs, dtype=float)
-    means, variances = gp_predict_curve(fit, xs)
-    write_csv(path, ["x", "mean", "sd"], zip(xs, means, np.sqrt(variances)))

@@ -21,7 +21,6 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from . import _checks as check
-from .csvio import write_csv
 from .fd_priors import (
     NONSMOOTH,
     SMOOTH_INTERIOR,
@@ -39,7 +38,6 @@ __all__ = [
     "posterior_sd",
     "sample",
     "discretized_penalty_norm",
-    "export_posterior_bands",
 ]
 
 
@@ -162,11 +160,3 @@ def discretized_penalty_norm(prior: PrecisionRoot, theta: np.ndarray, order: str
         interior = r[1:]
         return float(4.0 * n * interior @ interior)
     raise ValueError(f"order must be 'laplacian' or 'gradient', got '{order}'")
-
-
-def export_posterior_bands(post: GaussianPosterior, path: str) -> None:
-    """CSV of (x, mean, lower, upper) with +-2 posterior standard deviations."""
-    sd = posterior_sd(post)
-    xs = post.operator.col_grid.nodes
-    write_csv(path, ["x", "mean", "lower", "upper"],
-              zip(xs, post.mean, post.mean - 2 * sd, post.mean + 2 * sd))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks as check
-from .csvio import write_csv
 from .gp_rkhs import CovarianceKernel, GPRegressionFit, gp_fit, integrated_wiener_cov
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "integrated_wiener_cov",
     "spline_fit",
     "spline_predict",
-    "export_spline_curve",
 ]
 
 
@@ -88,13 +86,3 @@ def spline_predict(fit: SplineFit, x_star):
     s = fit.gp.kernel.evaluate(xs[:, None], fit.x_train[None, :])
     vals = _poly_basis(xs, fit.m_order) @ fit.beta_hat + s @ fit.coefficients
     return float(vals[0]) if np.isscalar(x_star) or np.asarray(x_star).ndim == 0 else vals
-
-
-def export_spline_curve(fit: SplineFit, path: str, num: int = 201) -> None:
-    """CSV of (x, fitted, is_knot) on a grid joined with the knots."""
-    grid = np.linspace(0.0, 1.0, check.count("num", num, 2))
-    xs = np.unique(np.concatenate([grid, fit.x_train]))
-    fitted = spline_predict(fit, xs)
-    knots = set(float(v) for v in fit.x_train)
-    write_csv(path, ["x", "fitted", "is_knot"],
-              ((xv, fv, int(float(xv) in knots)) for xv, fv in zip(xs, fitted)))

@@ -16,7 +16,11 @@ from numpy.testing import assert_allclose
 
 from bayesinv import cli
 from bayesinv import gp_rkhs as gr
+from bayesinv import inverse_regression as ir
+from bayesinv import linear_posterior as lp
 from bayesinv import spline as sp
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bayesinv"
 
 
 def read_json(path):
@@ -439,6 +443,81 @@ def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv,
     assert run_cli(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"bayesinv: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--ynew", "5"], "--ynew is used only when --data is given"),
+    (["calibrate", "--data", "{data}", "--ynew", "1,abc"],
+     "ynew must be a comma-separated list of floats, got '1,abc'"),
+    (["inconsistency", "--n-values", "100,1e3"],
+     "n_values must be a comma-separated list of ints, got '100,1e3'"),
+    (["inconsistency", "--n-values", ""],
+     "n_values must be a comma-separated list of ints, got ''"),
+])
+def test_list_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
+    data = tmp_path / "line.csv"
+    data.write_text("x,y\n-1.0,0.0\n0.0,1.0\n1.0,2.0\n")
+    out = tmp_path / "o"
+    assert run_cli([arg.format(data=data) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bayesinv: {message}\n"
+    assert not out.exists()
+
+
+# each command's last numerical call, and a small run of the command
+LATE_CALLS = {
+    "demo-linear": (lp, "posterior_sd", ["--n", "20"]),
+    "gp": (gr, "gp_predict_curve", ["--n", "8", "--num-pred", "11"]),
+    "calibrate": (ir.Density1D, "pdf", ["--n", "12", "--curve-points", "21"]),
+    "inconsistency": (ir.Density1D, "pdf", ["--n-values", "100", "--curve-points", "16"]),
+    "coverage": (ir, "coverage_experiment", ["--n-reps", "5"]),
+    "risk": (ir, "estimator_risk_experiment", ["--n-reps", "5"]),
+}
+
+
+@pytest.mark.parametrize("command", LATE_CALLS)
+def test_late_numerical_failure_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # a command computes everything before its run is written, so a failure
+    # in its last step leaves no directory (and no manifest beside old files)
+    owner, name, argv = LATE_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise ValueError("late failure")
+
+    monkeypatch.setattr(owner, name, fail)
+    out = tmp_path / "o"
+    assert run_cli([command, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "bayesinv: late failure\n"
+    assert not out.exists()
+
+
+def test_handlers_return_their_files_and_write_nothing():
+    # only _write_run creates, names or opens a path under the output directory
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert sorted(fn.name for fn in handlers) == sorted(f.__name__ for f in cli.HANDLERS.values())
+    for fn in handlers:
+        used = {node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(fn) if isinstance(node, (ast.Attribute, ast.Name))}
+        assert used & {"output_dir", "open", "mkdir", "write_csv", "_write_run"} == set(), fn.name
+
+
+def test_only_cli_writes_csv_and_only_serializers_save_matrices():
+    # the per-command file contracts live in cli alone; the numerical modules do no IO
+    importers = {"csvio": [], "write_csv": [], "_save_matrix": [], "_load_matrix": []}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.name.rsplit(".", 1)[-1]
+                    if name in importers:
+                        importers[name].append(path.name)
+    assert importers == {
+        "csvio": [],
+        "write_csv": ["cli.py"],
+        "_save_matrix": ["fd_priors.py", "forward_ops.py"],
+        "_load_matrix": ["fd_priors.py", "forward_ops.py"],
+    }
 
 
 def test_config_integer_for_float_parameter_kept_as_given(tmp_path):

@@ -252,19 +252,6 @@ class TestEquivalenceInvariants:
             assert -lp.tikhonov_objective(post, other, y) - base <= 1e-12
 
 
-def test_band_export(tmp_path):
-    op, prior, y = deblur_problem(n=15)
-    post = lp.fit(op, prior, y, 0.05)
-    path = tmp_path / "bands.csv"
-    lp.export_posterior_bands(post, str(path))
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x,mean,lower,upper"
-    assert len(rows) == 16
-    for line in rows[1:]:
-        x, m, lo, hi = map(float, line.split(","))
-        assert lo < m < hi
-
-
 def dense_reference(op, prior, y, sigma):
     """The dense path the banded one replaced: (hessian, mean, cov, sd)."""
     kmat, mmat = op.matrix, prior.matrix
@@ -362,15 +349,19 @@ class TestLapackInverse:
         assert peak <= 2.5 * n * n * 8
 
     def test_band_export_builds_no_covariance(self, tmp_path, monkeypatch):
-        op, prior, y = deblur_problem(n=15)
-        post = lp.fit(op, prior, y, 0.05)
-
+        # demo-linear's bands are the mean -+ 2 posterior_sd, with no covariance formed
         def refuse(_):
-            raise AssertionError("export_posterior_bands formed the covariance")
+            raise AssertionError("demo-linear formed the covariance")
 
         monkeypatch.setattr(lp, "posterior_covariance", refuse)
-        lp.export_posterior_bands(post, str(tmp_path / "bands.csv"))
-        rows = read_csv(tmp_path / "bands.csv", ["x", "mean", "lower", "upper"])
+        out = tmp_path / "run"
+        assert cli.main(["demo-linear", "--n", "15", "--psi", "0.08", "--sigma", "0.05",
+                         "--tilde-sigma", "1.0", "--out", str(out)]) == 0
+        op, prior, _ = deblur_problem(n=15)
+        post = lp.fit(op, prior, read_csv(out / "data.csv", ["x", "y"])[:, 1], 0.05)
+        rows = read_csv(out / "posterior.csv", ["x", "mean", "lower", "upper"])
+        assert rows.shape == (15, 4)
+        assert np.all((rows[:, 2] < rows[:, 1]) & (rows[:, 1] < rows[:, 3]))
         assert_allclose((rows[:, 3] - rows[:, 2]) / 4, lp.posterior_sd(post), rtol=1e-15)
 
 

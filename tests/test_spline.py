@@ -333,17 +333,6 @@ def test_roughness_decreases_with_penalty_weight():
     assert roughness[0] > roughness[1] > roughness[2]
 
 
-def test_curve_export(tmp_path):
-    x = np.array([0.25, 0.5, 0.75])
-    fit = sp.spline_fit(x, np.array([1.0, 0.0, -1.0]), 0.1, 1.0)
-    path = tmp_path / "curve.csv"
-    sp.export_spline_curve(fit, str(path), num=21)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,fitted,is_knot"
-    marked = [line for line in lines[1:] if line.endswith(",1")]
-    assert len(marked) == 3
-
-
 def test_module_factors_nothing():
     # gp_fit is the one place a GP Gram matrix is built and factored, the
     # fit's solve the one way to apply its inverse, and a fit keeps no n x n

@@ -7,7 +7,6 @@ checks live in ``bayesinv._checks``; no other module spells the policy out.
 
 import dataclasses
 import math
-import os
 import re
 from functools import partial
 from pathlib import Path
@@ -156,7 +155,6 @@ CASES = {
     "GPRegressionFit.solve": case(GP_FIT.solve, v=(np.ones(3), A)),
     "gp_predict": case(lambda x_star: gr.gp_predict(GP_FIT, x_star), x_star=(0.5, S)),
     "gp_predict_curve": case(lambda xs: gr.gp_predict_curve(GP_FIT, xs), xs=(UNIT, A)),
-    "export_gp_curve": case(lambda xs: gr.export_gp_curve(GP_FIT, xs, os.devnull), xs=(UNIT, A)),
     "spectral_kernel": case(gr.spectral_kernel, b=([1.0, 1.0], A), tau_grid=([0.0, 0.5], A)),
     "penalty_quadratic_form": case(gr.penalty_quadratic_form, b=([0.0, 1.0], A),
                                    theta=(np.sin(np.arange(8.0)), A)),
@@ -164,8 +162,6 @@ CASES = {
     "spline_fit": case(sp.spline_fit, x=([0.2, 0.5, 0.8], A), y=([0.0, 1.0, 0.0], A), sigma2=(0.1, S),
                        sigma2_theta=(1.0, S), m_order=(2, C)),
     "spline_predict": case(lambda x_star: sp.spline_predict(SPLINE_FIT, x_star), x_star=(0.5, S)),
-    "export_spline_curve": case(lambda num: sp.export_spline_curve(SPLINE_FIT, os.devnull, num),
-                                num=(11, C)),
     "make_calibration_data": case(ir.make_calibration_data, x=([-1.0, 0.0, 1.0, 2.0], A),
                                   y=([0.1, 1.2, 1.9, 3.1], A), y_new=([0.5], A)),
     "confidence_set": case(lambda alpha: ir.confidence_set(EST, alpha), alpha=(0.05, S)),
