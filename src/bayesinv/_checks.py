@@ -46,3 +46,17 @@ def inside(name: str, arr: np.ndarray, domain) -> np.ndarray:
     if not np.all((lo <= arr) & (arr <= hi)):
         raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
     return arr
+
+
+def representable(name: str, v, compute):
+    """``compute()``: a float, or a tuple of floats, that a formula derives from
+    the valid argument ``v``. Each must be non-zero and finite; an under- or
+    overflow, raised or silent, becomes a ``ValueError`` naming ``name``."""
+    try:
+        out = compute()
+    except (ZeroDivisionError, OverflowError):
+        out = math.nan
+    size = np.abs(out)
+    if not np.all((0 < size) & (size < math.inf)):
+        raise ValueError(f"{name} = {v} under- or overflows in the arithmetic on it")
+    return out

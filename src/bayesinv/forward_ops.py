@@ -1,8 +1,12 @@
 """Forward integral operators discretized to matrices on regular grids.
 
 Each operator represents a linear map theta -> K theta, where the matrix entry
-(i, j) is the scalar kernel evaluated at (x_i, t_j) times the column-grid
-spacing (left-endpoint quadrature). Observations follow y = K theta + noise.
+(i, j) is the kernel at (x_i, t_j) times the grid spacing h (left-endpoint
+quadrature). Observations follow y = K theta + noise. Four kernels are
+convolutions k(x - t): Gaussian blur, travel time, gravity and groundwater.
+On one grid their entry (i, j) is k((i - j) h) h, so each is a Toeplitz
+matrix built from its 2n - 1 lags. The diffraction kernel is not a function of
+s - theta and is evaluated on the n^2 node pairs.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import _checks as check
 from .csvio import _load_matrix, _save_matrix
@@ -45,6 +50,7 @@ class Grid:
         check.finite("b", self.b)
         if not self.b > self.a:
             raise ValueError(f"grid needs b > a, got [{self.a}, {self.b}]")
+        check.representable("b", self.b, lambda: self.spacing)
 
     @property
     def spacing(self) -> float:
@@ -74,41 +80,35 @@ class ForwardOperator:
         return self.matrix.shape
 
 
-def _discretize(kernel, row_grid: Grid, col_grid: Grid, tag: str, params: dict) -> ForwardOperator:
-    x = row_grid.nodes[:, None]
-    t = col_grid.nodes[None, :]
-    mat = kernel(x, t) * col_grid.spacing
-    return ForwardOperator(mat, row_grid, col_grid, tag, params)
+def _stationary(kernel, grid: Grid, tag: str, params: dict) -> ForwardOperator:
+    """The operator of a kernel of the lag d = x - t alone: entry (i, j) is
+    kernel((i - j) h) h, so the kernel runs once on the 2n - 1 lags and they
+    fill the diagonals of a Toeplitz matrix."""
+    n, h = grid.n, grid.spacing
+    lags = kernel(np.arange(1 - n, n) * h) * h
+    # first column: lags 0 .. n - 1; first row: lags 0 .. 1 - n
+    return ForwardOperator(toeplitz(lags[n - 1:], lags[n - 1::-1]), grid, grid, tag, params)
 
 
 def make_gaussian_blur(grid: Grid, psi: float) -> ForwardOperator:
-    """Gaussian convolution kernel exp(-(x-t)^2 / 2 psi^2) / sqrt(2 pi psi^2)."""
+    """Gaussian convolution kernel exp(-d^2 / 2 psi^2) / sqrt(2 pi psi^2)."""
     psi = check.positive("psi", psi)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * psi * psi)
-
-    def kernel(x, t):
-        return norm * np.exp(-((x - t) ** 2) / (2.0 * psi * psi))
-
-    return _discretize(kernel, grid, grid, "gaussian_blur", {"psi": psi})
+    norm, two_var = check.representable(
+        "psi", psi, lambda: (1.0 / math.sqrt(2.0 * math.pi * psi * psi), 2.0 * psi * psi))
+    return _stationary(lambda d: norm * np.exp(-(d**2) / two_var), grid, "gaussian_blur",
+                       {"psi": psi})
 
 
 def make_travel_time(grid: Grid) -> ForwardOperator:
     """Heaviside kernel: cumulative travel time t(z) = integral_0^z s(u) du."""
-
-    def kernel(x, t):
-        return (t <= x).astype(float)
-
-    return _discretize(kernel, grid, grid, "travel_time", {})
+    return _stationary(lambda d: (d >= 0).astype(float), grid, "travel_time", {})
 
 
 def make_gravity(grid: Grid, h: float) -> ForwardOperator:
-    """Vertical gravity anomaly kernel h / ((t - x)^2 + h^2)^(3/2) at height h."""
+    """Vertical gravity anomaly kernel h / (d^2 + h^2)^(3/2) at height h."""
     h = check.positive("h", h)
-
-    def kernel(x, t):
-        return h / ((t - x) ** 2 + h * h) ** 1.5
-
-    return _discretize(kernel, grid, grid, "gravity", {"h": h})
+    check.representable("h", h, lambda: h / (h * h) ** 1.5)  # the peak, at d = 0
+    return _stationary(lambda d: h / (d**2 + h * h) ** 1.5, grid, "gravity", {"h": h})
 
 
 def make_diffraction(grid: Grid) -> ForwardOperator:
@@ -120,14 +120,12 @@ def make_diffraction(grid: Grid) -> ForwardOperator:
     half_pi = math.pi / 2.0
     if grid.a < -half_pi - 1e-12 or grid.b > half_pi + 1e-12:
         raise ValueError("diffraction grid must lie within [-pi/2, pi/2]")
-
-    def kernel(s, th):
-        amp = (np.cos(s) + np.cos(th)) ** 2
-        z = math.pi * (np.sin(s) + np.sin(th))
-        # np.sinc is sin(pi u)/(pi u); feed z/pi to get sin(z)/z
-        return amp * np.sinc(z / math.pi) ** 2
-
-    return _discretize(kernel, grid, grid, "diffraction", {})
+    s, th = grid.nodes[:, None], grid.nodes[None, :]
+    amp = (np.cos(s) + np.cos(th)) ** 2
+    z = math.pi * (np.sin(s) + np.sin(th))
+    # np.sinc is sin(pi u)/(pi u); feed z/pi to get sin(z)/z
+    mat = amp * np.sinc(z / math.pi) ** 2 * grid.spacing
+    return ForwardOperator(mat, grid, grid, "diffraction", {})
 
 
 def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) -> ForwardOperator:
@@ -144,8 +142,7 @@ def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) ->
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"grid must cover [0, T) = [0, {T}), got [{grid.a}, {grid.b})")
 
-    def kernel(ti, tj):
-        tau = ti - tj
+    def kernel(tau):
         pos = tau > 0
         tau_safe = np.where(pos, tau, 1.0)
         val = (
@@ -155,9 +152,7 @@ def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) ->
         )
         return np.where(pos, val, 0.0)
 
-    return _discretize(
-        kernel, grid, grid, "groundwater", {"D": D, "nu": nu, "x_obs": x_obs, "T": T}
-    )
+    return _stationary(kernel, grid, "groundwater", {"D": D, "nu": nu, "x_obs": x_obs, "T": T})
 
 
 def make_identity(grid: Grid) -> ForwardOperator:

@@ -61,6 +61,7 @@ class CovarianceKernel:
 def ou_kernel(b: float) -> CovarianceKernel:
     """Ornstein-Uhlenbeck covariance (1/2b) exp(-b |x - x'|)."""
     b = check.positive("b", b)
+    check.representable("b", b, lambda: 1.0 / (2.0 * b))  # the variance
 
     def evaluate(x, xp):
         return np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
@@ -74,12 +75,13 @@ def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
     For d > 1, inputs are points with d coordinates in the last axis.
     """
     b, d = check.positive("b", b), check.count("d", d, 1)
-    norm = (2.0 * math.pi * b * b) ** (-d / 2.0)
+    norm, two_var = check.representable(
+        "b", b, lambda: ((2.0 * math.pi * b * b) ** (-d / 2.0), 2.0 * b * b))
 
     def evaluate(x, xp):
         diff = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
         r2 = diff**2 if d == 1 else np.sum(diff**2, axis=-1)
-        return norm * np.exp(-r2 / (2.0 * b * b))
+        return norm * np.exp(-r2 / two_var)
 
     return CovarianceKernel(evaluate)
 

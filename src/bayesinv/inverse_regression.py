@@ -525,7 +525,8 @@ def inconsistency_experiment(theta_true: float, n_values: Sequence[int], seed: i
     For each n, draws x_i ~ U(0.5, 1.5) and y_i ~ Poisson(theta x_i) from the
     stream (seed, n), holds out a fixed index, and records the closed-form
     posterior sd. The sd does not shrink with n: the posterior of a covariate
-    never concentrates when the responses stay noisy.
+    never concentrates when the responses stay noisy. An n whose counts leave
+    the variance infinite is a ValueError.
     """
     theta_true = check.positive("theta_true", theta_true)
     n_values = [check.count("n_values", n, 3) for n in n_values]
@@ -537,6 +538,10 @@ def inconsistency_experiment(theta_true: float, n_values: Sequence[int], seed: i
         xs = rng.uniform(0.5, 1.5, n)
         ys = rng.poisson(theta_true * xs)
         held = min(9, n - 1)
+        rest = int(ys.sum() - ys[held])
+        if rest <= 2:
+            raise ValueError(f"n_values gives n = {n} a posterior with no finite variance: "
+                             f"sum(y) - y[held] = {rest}, needs > 2")
         posterior = poisson_xval_posterior(xs, ys, held)
         sd = math.sqrt(posterior.exact_variance)
         rows.append(InconsistencyRow(n, sd, float(xs[held]), posterior))

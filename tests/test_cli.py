@@ -419,6 +419,9 @@ def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, com
     (["demo-linear", "--psi", "nan"], "psi must be positive and finite, got nan"),
     (["gp", "--b", "nan"], "b must be positive and finite, got nan"),
     (["inconsistency", "--theta", "nan"], "theta_true must be positive and finite, got nan"),
+    (["demo-linear", "--psi", "1e-200"], "psi = 1e-200 under- or overflows in the arithmetic on it"),
+    (["gp", "--kernel", "sqexp", "--b", "1e-200"],
+     "b = 1e-200 under- or overflows in the arithmetic on it"),
 ])
 def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -453,6 +456,8 @@ def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv,
      "n_values must be a comma-separated list of ints, got '100,1e3'"),
     (["inconsistency", "--n-values", ""],
      "n_values must be a comma-separated list of ints, got ''"),
+    (["inconsistency", "--theta", "0.5", "--n-values", "3", "--seed", "12"],
+     "n_values gives n = 3 a posterior with no finite variance: sum(y) - y[held] = 2, needs > 2"),
 ])
 def test_list_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
     data = tmp_path / "line.csv"

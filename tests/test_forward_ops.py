@@ -68,8 +68,8 @@ class TestGaussianBlur:
         rng = np.random.default_rng(0)
         for _ in range(20):
             i, j = rng.integers(0, 50, 2)
-            x, t = unit_grid.nodes[i], unit_grid.nodes[j]
-            k = math.exp(-((x - t) ** 2) / (2 * psi**2)) / math.sqrt(2 * math.pi * psi**2)
+            d = (i - j) * unit_grid.spacing  # the exact lag x_i - t_j
+            k = math.exp(-(d**2) / (2 * psi**2)) / math.sqrt(2 * math.pi * psi**2)
             assert_allclose(op.matrix[i, j], k * unit_grid.spacing, rtol=1e-14)
 
 
@@ -202,6 +202,60 @@ class TestGroundwater:
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=1.0, T=-1.0)
         with pytest.raises(ValueError, match="x_obs"):
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=0.0, T=1.0)
+
+
+# the node-pair formulas each stationary maker replaced: entry (i, j) is the
+# kernel at (x_i, t_j) times the spacing
+def _blur_pairs(x, t, psi):
+    return np.exp(-((x - t) ** 2) / (2.0 * psi * psi)) / math.sqrt(2.0 * math.pi * psi * psi)
+
+
+def _groundwater_pairs(x, t, D, nu):
+    tau = np.where(x > t, x - t, 1.0)
+    val = (1.0 / (2.0 * np.sqrt(math.pi * D * tau**3))
+           * np.exp(-((1.0 - nu * tau) ** 2) / (4.0 * D * tau)))
+    return np.where(x > t, val, 0.0)
+
+
+STATIONARY = {
+    "blur": (lambda g, p: fo.make_gaussian_blur(g, p["psi"]),
+             lambda x, t, p: _blur_pairs(x, t, p["psi"])),
+    "travel_time": (lambda g, p: fo.make_travel_time(g), lambda x, t, p: (t <= x).astype(float)),
+    "gravity": (lambda g, p: fo.make_gravity(g, p["h"]),
+                lambda x, t, p: p["h"] / ((t - x) ** 2 + p["h"] * p["h"]) ** 1.5),
+    "groundwater": (lambda g, p: fo.make_groundwater(g, p["D"], p["nu"], 1.0, 1.0),
+                    lambda x, t, p: _groundwater_pairs(x, t, p["D"], p["nu"])),
+}
+WORKLOAD_PARAMS = {"psi": 0.05, "h": 1.0, "D": 0.5, "nu": 1.0}
+
+
+def _grid_for(name, n):
+    return fo.Grid(-5.0, 5.0, n) if name == "gravity" else fo.Grid(0.0, 1.0, n)
+
+
+class TestStationary:
+    @pytest.mark.parametrize("name", STATIONARY)
+    @pytest.mark.parametrize("n", [2, 7, 100, 301])
+    def test_every_diagonal_is_constant(self, name, n):
+        mat = STATIONARY[name][0](_grid_for(name, n), WORKLOAD_PARAMS).matrix
+        for k in range(1 - n, n):
+            diag = np.diagonal(mat, -k)
+            assert (diag == diag[0]).all(), (name, k)
+
+    @pytest.mark.parametrize("name", STATIONARY)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 1200), psi=st.floats(0.03, 0.07), h=st.floats(0.8, 1.2),
+           D=st.floats(0.4, 0.6), nu=st.floats(0.8, 1.2))
+    def test_matches_node_pair_formula(self, name, n, psi, h, D, nu):
+        # the lag (i - j) h and the node difference x_i - t_j round differently;
+        # in the parameter ranges the CLI and the benchmark use, the entries
+        # agree to within a few ulps of the largest one
+        params = {"psi": psi, "h": h, "D": D, "nu": nu}
+        make, pairs = STATIONARY[name]
+        grid = _grid_for(name, n)
+        mat = make(grid, params).matrix
+        ref = pairs(grid.nodes[:, None], grid.nodes[None, :], params) * grid.spacing
+        assert np.max(np.abs(mat - ref)) <= 4e-15 * np.max(np.abs(ref))
 
 
 class TestApply:

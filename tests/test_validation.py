@@ -60,6 +60,14 @@ LEAKS = [
     ("k", lambda: lp.sample(POST, 2.5, 0)),
     ("x_star", lambda: gr.gp_predict(gr.gp_fit([0.2, 0.5, 0.8], [0, 1, 0],
                                                gr.brownian_motion_kernel(), 0.1), -1.0)),
+    # finite values whose arithmetic under- or overflows
+    ("psi", lambda: fo.make_gaussian_blur(GRID, 1e-170)),
+    ("h", lambda: fo.make_gravity(GRID, 1e-170)),
+    ("b", lambda: gr.squared_exponential_kernel(1e-170)),
+    ("b", lambda: gr.squared_exponential_kernel(1e-160, 3)),
+    ("b", lambda: gr.ou_kernel(1e-320)),
+    ("b", lambda: fo.Grid(-1e308, 1e308, 5)),
+    ("n_values", lambda: ir.inconsistency_experiment(0.5, [3], 12)),
 ]
 
 
