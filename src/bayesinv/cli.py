@@ -102,16 +102,27 @@ def _write_run(cfg: ExperimentConfig, outputs: dict) -> None:
     """Create the run's directory and write manifest.json, then each output in order.
 
     A ``.csv`` output is a ``(header, rows)`` pair for ``write_csv``; a
-    ``.json`` output is the dict to dump.
+    ``.json`` output is the dict to dump. The directory may already exist
+    only if it holds nothing but files of this run's names, so a run never
+    lands beside another run's files; nothing is ever deleted.
     """
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.output_dir
+    if out.is_dir():
+        others = sorted({p.name for p in out.iterdir()} - {"manifest.json", *outputs})
+        if others:
+            raise ValueError(f"out {out} holds files this run does not write: "
+                             f"{', '.join(others)}; pass a new or empty directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out, or a path above it, names a file
+        raise ValueError(f"out {out} cannot be made a directory: {exc.strerror}") from None
     manifest = {"command": cfg.command, "seed": cfg.seed, "package_version": __version__,
                 "params": cfg.params}
     for name, content in {"manifest.json": manifest, **outputs}.items():
         if name.endswith(".csv"):
-            write_csv(cfg.output_dir / name, *content)
+            write_csv(out / name, *content)
         else:
-            with open(cfg.output_dir / name, "w") as fh:
+            with open(out / name, "w") as fh:
                 json.dump(content, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 

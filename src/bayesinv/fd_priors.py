@@ -3,7 +3,9 @@
 A precision root is a matrix M playing the role of Gamma^(-1/2): the prior on
 theta is proportional to exp(-||M theta||^2 / (2 tilde_sigma^2)). Smooth
 variants penalize second differences, the non-smooth variant penalizes first
-differences, and jump variants down-weight selected increments.
+differences, and jump variants down-weight selected increments. A smooth or
+non-smooth root is a discretized derivative penalty, whose continuum value
+``discretized_penalty_norm`` reads off the root's own variant.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "build_nonsmooth",
     "build_jump",
     "prior_log_density",
+    "discretized_penalty_norm",
     "save_precision_root",
     "load_precision_root",
 ]
@@ -194,6 +197,36 @@ def prior_log_density(root: PrecisionRoot, theta: np.ndarray) -> float:
     """Unnormalized log prior -||M theta||^2 / (2 tilde_sigma^2)."""
     r = root.matrix @ check.finite("theta", theta, (root.n,))
     return float(-(r @ r) / (2.0 * root.tilde_sigma**2))
+
+
+# variant -> (its interior rows, the power of n in its penalty norm); the
+# rows left out are boundary rows, which no derivative penalty holds
+_PENALTY = {
+    SMOOTH_INTERIOR: (slice(None), 3),
+    SMOOTH_ZERO_BOUNDARY: (slice(1, -1), 3),
+    SMOOTH_SOFT_BOUNDARY: (slice(1, -1), 3),
+    NONSMOOTH: (slice(1, None), 1),
+}
+
+
+def discretized_penalty_norm(prior: PrecisionRoot, theta: np.ndarray) -> float:
+    """Riemann-sum approximation of the continuum penalty the prior encodes.
+
+    A smooth variant approximates int_0^1 (theta'')^2 by 4 n^3 ||M theta||^2
+    over its interior second-difference rows; the non-smooth variant
+    approximates int_0^1 (theta')^2 by 4 n ||M theta||^2 over its interior
+    first-difference rows. Other variants hold no such penalty and raise.
+
+    The factors of 4 undo the 1/2 prefactor carried by the difference
+    matrices; n^3 = n^4 (difference-to-derivative) * 1/n (grid weight).
+    """
+    if prior.variant not in _PENALTY:
+        raise ValueError(f"prior variant '{prior.variant}' is not a derivative penalty: "
+                         f"need one of {', '.join(_PENALTY)}")
+    rows, p = _PENALTY[prior.variant]
+    n = prior.n
+    interior = (prior.matrix @ check.finite("theta", theta, (n,)))[rows]
+    return float(4.0 * n**p * interior @ interior)
 
 
 def save_precision_root(root: PrecisionRoot, basepath: str) -> None:

@@ -75,10 +75,6 @@ class ForwardOperator:
         shape = (self.row_grid.n, self.col_grid.n)
         object.__setattr__(self, "matrix", check.finite("matrix", self.matrix, shape))
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def _stationary(kernel, grid: Grid, tag: str, params: dict) -> ForwardOperator:
     """The operator of a kernel of the lag d = x - t alone: entry (i, j) is
@@ -141,6 +137,9 @@ def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) ->
     check.finite("nu", nu)
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"grid must cover [0, T) = [0, {T}), got [{grid.a}, {grid.b})")
+    h = grid.spacing  # the smallest positive lag, where the prefactor peaks
+    check.representable("D", D, lambda: (4.0 * D * h, math.pi * D * h**3))
+    check.representable("x_obs", x_obs, lambda: x_obs / (2.0 * math.sqrt(math.pi * D * h**3)))
 
     def kernel(tau):
         pos = tau > 0

@@ -265,13 +265,25 @@ class Density1D:
             width = 1.0 + 0.5 * abs(center)
             left = max(lo, center - width)
             right = min(hi, center + width)
-            _, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
+            x_best, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
+            # -inf everywhere gives no direction to the mode: widen the scan
+            # about the hint, and restart centred on the first finite point
+            widenings = 0
+            while (self._shift == -math.inf and widenings < _MAX_EXPANSIONS
+                   and (lo < left or right < hi)):
+                widenings += 1
+                left = max(lo, center - 2.0 * (center - left))
+                right = min(hi, center + 2.0 * (right - center))
+                x_best, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
             if self._shift == -math.inf:
                 raise ValueError(
                     "normalization failed: could not locate the mode (the log-density is "
                     f"-inf at every point scanned on [{left:g}, {right:g}]); pass a "
                     "center_hint near the mode"
                 )
+            if widenings:
+                center = x_best
+                continue
             mass = self._integral(left, center) + self._integral(center, right)
             converged = False
             for _ in range(_MAX_EXPANSIONS):

@@ -21,13 +21,7 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from . import _checks as check
-from .fd_priors import (
-    NONSMOOTH,
-    SMOOTH_INTERIOR,
-    SMOOTH_SOFT_BOUNDARY,
-    SMOOTH_ZERO_BOUNDARY,
-    PrecisionRoot,
-)
+from .fd_priors import PrecisionRoot
 from .forward_ops import ForwardOperator
 
 __all__ = [
@@ -37,7 +31,6 @@ __all__ = [
     "posterior_covariance",
     "posterior_sd",
     "sample",
-    "discretized_penalty_norm",
 ]
 
 
@@ -132,31 +125,3 @@ def sample(post: GaussianPosterior, k: int, seed: int) -> np.ndarray:
     draws = linalg.solve_triangular(post.chol_lower.T, z, lower=False)
     return post.mean[None, :] + draws.T
 
-
-_SMOOTH_VARIANTS = (SMOOTH_INTERIOR, SMOOTH_ZERO_BOUNDARY, SMOOTH_SOFT_BOUNDARY)
-
-
-def discretized_penalty_norm(prior: PrecisionRoot, theta: np.ndarray, order: str) -> float:
-    """Riemann-sum approximation of the continuum penalty encoded by the prior.
-
-    order="laplacian" (smooth variants): approximates int_0^1 (theta'')^2,
-    using 4 n^3 ||M theta||^2 over the interior second-difference rows.
-    order="gradient" (non-smooth variant): approximates int_0^1 (theta')^2,
-    using 4 n ||M theta||^2 over the interior first-difference rows.
-
-    The factors of 4 undo the 1/2 prefactor carried by the difference
-    matrices; n^3 = n^4 (difference-to-derivative) * 1/n (grid weight).
-    """
-    n = prior.n
-    r = prior.matrix @ check.finite("theta", theta, (n,))
-    if order == "laplacian":
-        if prior.variant not in _SMOOTH_VARIANTS:
-            raise ValueError(f"laplacian order requires a smooth prior, got '{prior.variant}'")
-        interior = r if prior.variant == SMOOTH_INTERIOR else r[1:-1]
-        return float(4.0 * n**3 * interior @ interior)
-    if order == "gradient":
-        if prior.variant != NONSMOOTH:
-            raise ValueError(f"gradient order requires the non-smooth prior, got '{prior.variant}'")
-        interior = r[1:]
-        return float(4.0 * n * interior @ interior)
-    raise ValueError(f"order must be 'laplacian' or 'gradient', got '{order}'")

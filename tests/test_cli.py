@@ -422,7 +422,10 @@ def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, com
     (["demo-linear", "--psi", "1e-200"], "psi = 1e-200 under- or overflows in the arithmetic on it"),
     (["gp", "--kernel", "sqexp", "--b", "1e-200"],
      "b = 1e-200 under- or overflows in the arithmetic on it"),
+    (["demo-linear", "--kernel", "groundwater", "--diffusion", "5e-324"],
+     "D = 5e-324 under- or overflows in the arithmetic on it"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert run_cli(argv + ["--out", str(out)]) == 1
@@ -466,6 +469,49 @@ def test_list_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
     assert run_cli([arg.format(data=data) for arg in argv] + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"bayesinv: {message}\n"
     assert not out.exists()
+
+
+def snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("first, second, others", [
+    (["inconsistency", "--n-values", "100,1000"], ["inconsistency", "--n-values", "200"],
+     "density_n100.csv, density_n1000.csv"),
+    # the second fit is degenerate, so it writes no posterior.csv
+    (["calibrate", "--n", "10", "--curve-points", "21"],
+     ["calibrate", "--data", "{data}", "--ynew", "2.0"], "posterior.csv"),
+])
+def test_reused_out_holding_other_files_exits_and_keeps_them(tmp_path, capsys, first, second,
+                                                             others):
+    data = tmp_path / "line.csv"
+    data.write_text("x,y\n0.0,1.0\n1.0,3.0\n2.0,5.0\n")
+    out = tmp_path / "run"
+    assert run_cli(first + ["--out", str(out)]) == 0
+    before = snapshot(out)
+    assert run_cli([arg.format(data=data) for arg in second] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"bayesinv: out {out} holds files this run does not "
+                                       f"write: {others}; pass a new or empty directory\n")
+    assert snapshot(out) == before
+
+
+def test_same_arguments_rerun_into_its_own_directory(tmp_path):
+    out = tmp_path / "run"
+    argv = ["inconsistency", "--n-values", "100,1000", "--seed", "3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    before = snapshot(out)
+    assert run_cli(argv) == 0
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_through_a_file_exits_and_keeps_it(tmp_path, capsys, below):
+    target = tmp_path / "file"
+    target.write_text("keep\n")
+    out = target / below if below else target
+    assert run_cli(["gp", "--n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"bayesinv: out {out} cannot be made a directory: ")
+    assert target.read_text() == "keep\n"
 
 
 # each command's last numerical call, and a small run of the command

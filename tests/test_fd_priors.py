@@ -214,6 +214,53 @@ class TestPriorLogDensity:
             fp.prior_log_density(root, np.zeros(5))
 
 
+class TestPenaltyNorm:
+    def test_laplacian_matches_analytic_integral(self):
+        # oracle: int (f'')^2 = 8 pi^4 for f = sin(2 pi x)
+        n = 400
+        grid = np.arange(n) / n
+        theta = np.sin(2 * np.pi * grid)
+        prior = fp.build_smooth_interior(n)
+        val = fp.discretized_penalty_norm(prior, theta)
+        assert abs(val - 8 * np.pi**4) / (8 * np.pi**4) < 0.05
+
+    def test_gradient_matches_analytic_integral(self):
+        # oracle: int (f')^2 = 1 for f = x
+        n = 400
+        theta = np.arange(n) / n
+        prior = fp.build_nonsmooth(n)
+        val = fp.discretized_penalty_norm(prior, theta)
+        assert abs(val - 1.0) < 0.05
+
+    def test_constant_input_vanishes(self):
+        theta = np.full(50, 3.0)
+        assert fp.discretized_penalty_norm(fp.build_smooth_zero_boundary(50), theta) < 1e-20
+        assert fp.discretized_penalty_norm(fp.build_nonsmooth(50), theta) < 1e-20
+
+    @pytest.mark.parametrize("build, rows, power", [
+        (fp.build_smooth_interior, slice(None), 3),
+        (fp.build_smooth_zero_boundary, slice(1, -1), 3),
+        (fp.build_smooth_soft_boundary, slice(1, -1), 3),
+        (fp.build_nonsmooth, slice(1, None), 1),
+    ])
+    def test_each_variant_sums_its_interior_rows(self, build, rows, power):
+        # the interior rows and power of n written out per builder, bit for bit
+        n = 37
+        theta = np.random.default_rng(4).standard_normal(n)
+        root = build(n)
+        interior = (root.matrix @ theta)[rows]
+        assert fp.discretized_penalty_norm(root, theta) == float(4.0 * n**power * interior @ interior)
+
+    @pytest.mark.parametrize("root", [
+        fp.build_jump(10, [(3, 0.5)]),
+        fp.build_jump(10, [(3, 0.5), (7, 0.2)]),
+        fp.PrecisionRoot(np.eye(10), "custom_identity"),
+    ], ids=lambda root: root.variant)
+    def test_other_variants_raise_naming_the_variant(self, root):
+        with pytest.raises(ValueError, match=f"'{root.variant}'"):
+            fp.discretized_penalty_norm(root, np.zeros(10))
+
+
 def test_laplacian_scaling_invariant():
     # the second-difference rows recover f'' at rate n^(-2): the exact
     # relation is f''(x_j) ~ -2 n^2 (L theta)_j for the displayed L

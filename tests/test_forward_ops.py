@@ -202,6 +202,8 @@ class TestGroundwater:
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=1.0, T=-1.0)
         with pytest.raises(ValueError, match="x_obs"):
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=0.0, T=1.0)
+        with pytest.raises(ValueError, match=r"grid must cover \[0, T\) = \[0, 2.0\)"):
+            fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=1.0, T=2.0)
 
 
 # the node-pair formulas each stationary maker replaced: entry (i, j) is the

@@ -273,6 +273,11 @@ class TestGPRegression:
         with pytest.raises(ValueError, match="^x must hold at least one"):
             gr.gp_fit(np.array([]), np.array([]), gr.ou_kernel(1.0), 0.1)
 
+    def test_two_dimensional_x_named(self):
+        x = np.array([[0.1], [0.5]])
+        with pytest.raises(ValueError, match="^x must be a 1-d array"):
+            gr.gp_fit(x, np.zeros_like(x), gr.ou_kernel(1.0), 0.1)
+
     def test_coefficients_solve_the_system(self):
         rng = np.random.default_rng(6)
         x = np.sort(rng.uniform(0, 1, 9))
@@ -516,3 +521,9 @@ class TestBridgeToLinearPosterior:
         kern = gr.matrix_kernel(pts, np.eye(5))
         with pytest.raises(ValueError, match="point set"):
             kern.evaluate(0.33, 0.0)
+
+    def test_matrix_kernel_at_two_scalars_is_a_float(self):
+        pts = np.linspace(0, 1, 5)
+        cov = np.arange(25.0).reshape(5, 5)
+        val = gr.matrix_kernel(pts, cov).evaluate(0.25, 0.75)
+        assert type(val) is float and val == cov[1, 3]

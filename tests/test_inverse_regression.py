@@ -104,6 +104,8 @@ class TestFitCalibration:
             ir.fit_calibration(ir.CalibrationData(np.zeros(4), np.arange(4.0), np.array([1.0])))
         with pytest.raises(ValueError, match="responses"):
             ir.fit_calibration(ir.CalibrationData(np.arange(4.0), np.ones(4), np.array([1.0])))
+        with pytest.raises(ValueError, match="zero estimated slope"):
+            ir.fit_calibration(ir.make_calibration_data([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.5]))
 
 
 class TestConfidenceSet:
@@ -187,16 +189,34 @@ class TestHoadleyPosterior:
         with pytest.raises(ValueError, match="not integrable"):
             ir.hoadley_posterior(data, ir.flat_prior)
 
-    def test_prior_far_from_likelihood_reports_missed_mode(self, data):
-        # N(40, 0.1^2) underflows to zero on the whole first scan around
-        # x ~ 0.7: that is a missed mode, not a non-integrable density
-        prior = lambda x: float(stats.norm.pdf(x, 40.0, 0.1))
+    @pytest.mark.parametrize("mu", [40.0, 8.0, -25.0])
+    def test_prior_far_from_likelihood_finds_the_mode(self, data, mu):
+        # N(mu, 0.1^2) underflows to zero on the whole first scan around
+        # x ~ 0.7; the widened scan must find its mode
+        prior = lambda x: float(stats.norm.pdf(x, mu, 0.1))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="mode") as exc:
-                ir.hoadley_posterior(data, prior)
-        assert "center_hint" in str(exc.value)
+            mean = ir.hoadley_posterior(data, prior).mean()
         assert not [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
+        # oracle: quad over mu +- 20 sd, split at mu
+        log_lik, _ = ir._hoadley_log_likelihood(ir.fit_calibration(data))
+        dens = lambda x: math.exp(log_lik(x) - log_lik(mu)) * prior(x)
+        halves = [(mu - 2.0, mu), (mu, mu + 2.0)]
+        mass = sum(integrate.quad(dens, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in halves)
+        first = sum(integrate.quad(lambda x: x * dens(x), a, b, epsabs=0.0, epsrel=1e-13,
+                                   limit=200)[0] for a, b in halves)
+        assert abs(mean - first / mass) < 1e-9
+
+    def test_perfectly_linear_data_rejected(self):
+        # zero residual variance: the F statistic is infinite
+        data = ir.make_calibration_data([-1.0, 0.0, 1.0, 2.0], [1.0, 3.0, 5.0, 7.0], [4.0])
+        est = ir.fit_calibration(data)
+        assert est.f_stat == math.inf
+        with pytest.raises(ValueError, match="infinite F"):
+            ir.hoadley_posterior(data, ir.hoadley_informative_prior(4))
+        with pytest.raises(ValueError, match="infinite F"):
+            ir.hoadley_t_posterior(est, 4)
 
     def test_likelihood_argmax_is_finite(self, data):
         # oracle: numerical maximization of L(x)
@@ -303,6 +323,12 @@ class TestPoissonXval:
         dens = post.pdf(grid)
         assert np.all(np.diff(dens) < 0)
 
+    def test_two_spare_counts_give_infinite_variance(self):
+        # sum(y) - y[held] = 2: the mean exists, the variance does not
+        post = ir.poisson_xval_posterior([1.0, 1.0, 1.0], [1, 1, 1], 0)
+        assert post.exact_variance == math.inf
+        assert post.exact_mean == 2.0 * 2.0 / 1.0
+
     def test_non_normalizable_rejected(self):
         xs = np.array([1.0, 1.0, 1.0])
         ys = np.array([5, 0, 1])
@@ -338,6 +364,13 @@ class TestInconsistencyExperiment:
             ir.inconsistency_experiment(1.0, [2, 100], seed=0)
         with pytest.raises(ValueError, match="theta"):
             ir.inconsistency_experiment(-1.0, [100], seed=0)
+
+
+def test_density_with_no_finite_point_names_center_hint():
+    # the widened scan finds nothing: the mode error, not an integration failure
+    with pytest.raises(ValueError, match="could not locate the mode") as exc:
+        ir.Density1D(lambda x: -math.inf, (-math.inf, math.inf))
+    assert "center_hint" in str(exc.value)
 
 
 def test_density_recovers_from_bad_center_hint():

@@ -115,6 +115,8 @@ class TestFit:
             lp.fit(op, prior, np.zeros(5), sigma=0.0)
         with pytest.raises(ValueError, match="shape"):
             lp.fit(op, prior, np.zeros(6), sigma=1.0)
+        with pytest.raises(ValueError, match="prior acts on 4 nodes but operator has 5 columns"):
+            lp.fit(op, fp.build_nonsmooth(4), np.zeros(5), sigma=1.0)
 
     @pytest.mark.parametrize("name, y, sigma", [
         ("y", [0.0, math.nan, 0.0, 0.0, 0.0], 1.0),
@@ -191,38 +193,6 @@ class TestCovarianceAndSampling:
         assert_allclose(lp.sample(post, 5, seed=1), lp.sample(post, 5, seed=1))
         with pytest.raises(ValueError, match=">= 1"):
             lp.sample(post, 0, seed=1)
-
-
-class TestPenaltyNorm:
-    def test_laplacian_matches_analytic_integral(self):
-        # oracle: int (f'')^2 = 8 pi^4 for f = sin(2 pi x)
-        n = 400
-        grid = np.arange(n) / n
-        theta = np.sin(2 * np.pi * grid)
-        prior = fp.build_smooth_interior(n)
-        val = lp.discretized_penalty_norm(prior, theta, "laplacian")
-        assert abs(val - 8 * np.pi**4) / (8 * np.pi**4) < 0.05
-
-    def test_gradient_matches_analytic_integral(self):
-        # oracle: int (f')^2 = 1 for f = x
-        n = 400
-        theta = np.arange(n) / n
-        prior = fp.build_nonsmooth(n)
-        val = lp.discretized_penalty_norm(prior, theta, "gradient")
-        assert abs(val - 1.0) < 0.05
-
-    def test_constant_input_vanishes(self):
-        theta = np.full(50, 3.0)
-        assert lp.discretized_penalty_norm(fp.build_smooth_zero_boundary(50), theta, "laplacian") < 1e-20
-        assert lp.discretized_penalty_norm(fp.build_nonsmooth(50), theta, "gradient") < 1e-20
-
-    def test_variant_order_mismatch(self):
-        with pytest.raises(ValueError, match="smooth"):
-            lp.discretized_penalty_norm(fp.build_nonsmooth(10), np.zeros(10), "laplacian")
-        with pytest.raises(ValueError, match="non-smooth"):
-            lp.discretized_penalty_norm(fp.build_smooth_interior(10), np.zeros(10), "gradient")
-        with pytest.raises(ValueError, match="order"):
-            lp.discretized_penalty_norm(fp.build_nonsmooth(10), np.zeros(10), "hessian")
 
 
 class TestEquivalenceInvariants:
