@@ -144,11 +144,13 @@ def make_groundwater(grid: Grid, D: float, nu: float, x_obs: float, T: float) ->
     def kernel(tau):
         pos = tau > 0
         tau_safe = np.where(pos, tau, 1.0)
-        val = (
-            x_obs
-            / (2.0 * np.sqrt(math.pi * D * tau_safe**3))
-            * np.exp(-((x_obs - nu * tau_safe) ** 2) / (4.0 * D * tau_safe))
-        )
+        # an exponent that over- or underflows still gives a finite factor
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            val = (
+                x_obs
+                / (2.0 * np.sqrt(math.pi * D * tau_safe**3))
+                * np.exp(-((x_obs - nu * tau_safe) ** 2) / (4.0 * D * tau_safe))
+            )
         return np.where(pos, val, 0.0)
 
     return _stationary(kernel, grid, "groundwater", {"D": D, "nu": nu, "x_obs": x_obs, "T": T})

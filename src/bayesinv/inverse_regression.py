@@ -5,6 +5,8 @@ the F-statistic confidence set, the Bayesian posterior of the covariate with
 a caller-supplied prior, its shifted-scaled-t special case, the Poisson
 leave-one-out posterior with closed-form moments, and the Monte Carlo
 harnesses (coverage, estimator risk contrast, posterior non-contraction).
+Each posterior is a ``Density1D``: an array log-density normalized on one
+table of Gauss-Legendre panels whose mapped end panels reach the support's ends.
 
 Distributional results assume the calibration design is standardized so that
 sum x_i = 0 and sum x_i^2 = n; ``simulate_calibration`` produces such designs.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import betaln, fdtri, poch
 
 from . import _checks as check
@@ -209,19 +211,30 @@ def confidence_set(est: CalibrationEstimates, alpha: float) -> ConfidenceSet:
 
 _TAIL_REL = 1e-10
 _MAX_EXPANSIONS = 60
+_SHELL_CALLS = 8  # shells evaluated per log_density call
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _panels(a, b):
+    """20-node Gauss-Legendre nodes and weights from each a to b, along a new last axis."""
+    a, half = np.expand_dims(a, -1), 0.5 * (np.expand_dims(b, -1) - np.expand_dims(a, -1))
+    return a + half * (1.0 + _GL_NODES), np.abs(half) * _GL_WEIGHTS
 
 
 class Density1D:
-    """Unnormalized log-density with quadrature normalization and moments.
+    """Unnormalized log-density normalized on one table of Gauss-Legendre panels.
 
-    The normalizing window is auto-expanded until the relative tail mass
-    drops below 1e-10; failure to converge raises, which is how
-    non-integrable posteriors are reported.
+    ``log_density`` maps an array of points to an array (a scalar broadcasts;
+    non-finite is zero density). Panels double in width outward from the mode
+    until a shell of them holds under 1e-10 of the mass: ``window`` is what
+    they cover. The rest of each side, to a finite end or to infinity, is one
+    panel in u <= 1 with x = edge +- L (1/u - 1), L the edge's distance from
+    the mode, so mass and moments cover the support. Non-integrable ones raise.
     """
 
     def __init__(
         self,
-        log_density: Callable[[float], float],
+        log_density: Callable[[np.ndarray], np.ndarray],
         support: tuple,
         center_hint: float = 0.0,
         exact_mean: Optional[float] = None,
@@ -236,27 +249,26 @@ class Density1D:
         self.exact_mean = exact_mean
         self.exact_variance = exact_variance
         self.exact_log_normalizer = exact_log_normalizer
-        self._mean = None
-        self._variance = None
         self._normalize(float(center_hint))
 
     # -- normalization machinery ------------------------------------------
 
-    def _scan_peak(self, lo: float, hi: float) -> tuple:
-        xs = np.linspace(lo, hi, 65)
-        vals = np.array([self.log_density(float(v)) for v in xs])
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
-        k = int(np.argmax(vals))
-        return float(xs[k]), float(vals[k])
+    def _log(self, xs: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """log_density where ``live``; -inf elsewhere and where it is not finite."""
+        out = np.full(xs.shape, -np.inf)
+        out[live] = self.log_density(xs[live])
+        return np.where(np.isfinite(out), out, -np.inf)
 
-    def _integral(self, lo: float, hi: float, weight: Optional[Callable] = None) -> float:
-        """Integral of weight(t) exp(log_density(t) - shift) over [lo, hi]."""
-        if hi <= lo:
-            return 0.0
-        f = lambda t: math.exp(min(self.log_density(t) - self._shift, 700.0))
-        g = f if weight is None else (lambda t: weight(t) * f(t))
-        val, _ = integrate.quad(g, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-        return val
+    def _scan_peak(self, lo: float, hi: float) -> tuple:
+        """(point, log-density, rescans): the best of 65 points on [lo, hi], rescanned
+        between its neighbours, up to 3 times, while both lie 2 or more below it."""
+        for level in range(4):
+            xs = np.linspace(lo, hi, 65)
+            vals = self._log(xs, np.full(65, True))
+            k = int(np.argmax(vals))
+            if not 0 < k < 64 or max(vals[k - 1], vals[k + 1]) > vals[k] - 2.0 or level == 3:
+                return float(xs[k]), float(vals[k]), level
+            lo, hi = xs[k - 1], xs[k + 1]
 
     def _normalize(self, center: float) -> None:
         lo, hi = self.support
@@ -265,7 +277,7 @@ class Density1D:
             width = 1.0 + 0.5 * abs(center)
             left = max(lo, center - width)
             right = min(hi, center + width)
-            x_best, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
+            x_best, self._shift, level = self._scan_peak(left + 1e-12 * (right - left), right)
             # -inf everywhere gives no direction to the mode: widen the scan
             # about the hint, and restart centred on the first finite point
             widenings = 0
@@ -274,49 +286,59 @@ class Density1D:
                 widenings += 1
                 left = max(lo, center - 2.0 * (center - left))
                 right = min(hi, center + 2.0 * (right - center))
-                x_best, self._shift = self._scan_peak(left + 1e-12 * (right - left), right)
+                x_best, self._shift, level = self._scan_peak(left + 1e-12 * (right - left), right)
             if self._shift == -math.inf:
                 raise ValueError(
                     "normalization failed: could not locate the mode (the log-density is "
                     f"-inf at every point scanned on [{left:g}, {right:g}]); pass a "
                     "center_hint near the mode"
                 )
+            center = x_best
             if widenings:
-                center = x_best
                 continue
-            mass = self._integral(left, center) + self._integral(center, right)
-            converged = False
-            for _ in range(_MAX_EXPANSIONS):
-                shell = 0.0
-                if left > lo:
-                    new_left = max(lo, center - 2.0 * (center - left))
-                    shell += self._integral(new_left, left)
-                    left = new_left
-                if right < hi:
-                    new_right = min(hi, center + 2.0 * (right - center))
-                    shell += self._integral(right, new_right)
-                    right = new_right
-                mass += shell
-                done_left = left <= lo
-                done_right = right >= hi
-                if (done_left and done_right) or (mass > 0 and shell < _TAIL_REL * mass):
-                    converged = True
+            # panel j of each side spans dist[j]..dist[j + 1] from the mode; the first
+            # ``inner`` reach the first window, each later pair is a doubling shell
+            inner = 5 * level + 6  # the innermost is as wide as the last scan's spacing
+            dist = np.r_[0.0, width * 2.0 ** np.arange(1 - inner, _MAX_EXPANSIONS + 1)]
+            ends = np.stack([np.maximum(center - dist, lo), np.minimum(center + dist, hi)])
+            xs, ws = _panels(ends[:, :-1], ends[:, 1:])
+            ld, start = np.full(xs.shape, -np.inf), 0
+            for end in range(inner + _SHELL_CALLS, dist.size + _SHELL_CALLS, _SHELL_CALLS):
+                ld[:, start:end] = self._log(xs[:, start:end], ws[:, start:end] > 0)
+                start = end
+                # capped, so that a far higher peak still lets the shells stop
+                shell = (ws * np.exp(np.minimum(ld - self._shift, 700.0))).sum(axis=(0, 2))
+                mass = np.cumsum(shell)
+                last = ((ends[0, 1:] <= lo) & (ends[1, 1:] >= hi)) | (shell < _TAIL_REL * mass)
+                if last[inner:end].any():
+                    stop = inner + 1 + int(np.argmax(last[inner:end]))  # panels kept per side
                     break
-            if not converged:
+            else:
                 raise ValueError(
                     "normalization failed: tail mass does not vanish "
                     "(the density is not integrable on its support)"
                 )
-            # if the widened window uncovered a much larger peak, the hint was
-            # badly off: recenter there and redo the normalization
-            x_best, best = self._scan_peak(left + 1e-12, right)
-            if best > self._shift + 30.0:
-                center = min(max(x_best, lo), hi)
+            xs, ws, ld = xs[:, :stop], ws[:, :stop], ld[:, :stop]
+            # a much larger peak inside the window means the hint was badly
+            # off: recenter there and redo the normalization
+            if ld.max() > self._shift + 30.0:
+                center = float(xs.flat[np.argmax(ld)])
                 continue
-            if mass <= 0:
+            if mass[stop - 1] <= 0:
                 raise ValueError("normalization failed: density is zero on its support")
-            self.window = (left, right)
-            self._mass = mass
+            self.window = (float(ends[0, stop]), float(ends[1, stop]))
+            wf = ws * np.exp(ld - self._shift)
+            pieces = [(xs.ravel(), wf.ravel())]
+            for edge, bound, side in zip(ends[:, stop], (lo, hi), (-1.0, 1.0)):
+                scale, gap = side * (edge - center), side * (bound - edge)
+                u, uw = _panels(scale / (scale + gap) if gap else 1.0, 1.0)  # 0 if gap is inf
+                tx, tw = edge + side * scale * (1.0 / u - 1.0), uw * scale / u**2
+                pieces.append((tx, tw * np.exp(self._log(tx, tw > 0) - self._shift)))
+            self._x, self._wf = (np.concatenate(column) for column in zip(*pieces))
+            self._mass = float(self._wf.sum())
+            # ascending panel edges across the window, and the mass left of each
+            self._edges = np.concatenate([ends[0, stop:0:-1], ends[1, :stop + 1]])
+            self._cum = np.cumsum(np.r_[pieces[1][1].sum(), wf[0, ::-1].sum(1), wf[1].sum(1)])
             return
         raise ValueError("normalization failed: could not stabilize the scaling shift")
 
@@ -328,27 +350,9 @@ class Density1D:
 
     def pdf(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(xs.shape)
         lo, hi = self.support
-        for i, v in enumerate(xs):
-            if lo <= v <= hi:
-                ld = self.log_density(float(v))
-                out[i] = math.exp(ld - self._shift) / self._mass if np.isfinite(ld) else 0.0
+        out = np.exp(self._log(xs, (lo <= xs) & (xs <= hi)) - self._shift) / self._mass
         return float(out[0]) if np.ndim(x) == 0 else out
-
-    def _expectation(self, weight: Callable[[float], float]) -> float:
-        left, right = self.window
-        mid = 0.5 * (left + right)
-        return (self._integral(left, mid, weight) + self._integral(mid, right, weight)) / self._mass
-
-    def _mass_to(self, t: float, known: dict) -> float:
-        """Unnormalized mass on [left, t], integrating only the gap from the
-        nearest point of ``known`` (point -> mass), which it extends."""
-        if t not in known:
-            near = min(known, key=lambda k: abs(k - t))
-            gap = self._integral(near, t) if t > near else -self._integral(t, near)
-            known[t] = known[near] + gap
-        return known[t]
 
     def cdf(self, x: float) -> float:
         left, right = self.window
@@ -357,19 +361,16 @@ class Density1D:
         if x >= right:
             return 1.0
         check.finite("x", x)  # only NaN gets here
-        val = self._mass_to(x, {left: 0.0, right: self._mass}) / self._mass
-        return min(max(val, 0.0), 1.0)
+        i = int(np.searchsorted(self._edges, x, side="right")) - 1
+        nodes, weights = _panels(self._edges[i], x)
+        part = weights @ np.exp(self._log(nodes, weights > 0) - self._shift)
+        return min(max(float((self._cum[i] + part) / self._mass), 0.0), 1.0)
 
     def mean(self) -> float:
-        if self._mean is None:
-            self._mean = self._expectation(lambda t: t)
-        return self._mean
+        return float(self._wf @ self._x) / self._mass
 
     def variance(self) -> float:
-        if self._variance is None:
-            mu = self.mean()
-            self._variance = self._expectation(lambda t: (t - mu) ** 2)
-        return self._variance
+        return float(self._wf @ (self._x - self.mean()) ** 2) / self._mass
 
     def sd(self) -> float:
         return math.sqrt(self.variance())
@@ -377,10 +378,11 @@ class Density1D:
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level p must lie in (0, 1), got {p}")
-        left, right = self.window
-        known = {left: 0.0, right: self._mass}
-        excess = lambda t: self._mass_to(t, known) / self._mass - p
-        return float(optimize.brentq(excess, left, right, xtol=1e-12))
+        # the root of cdf - p in the panel whose cumulative mass brackets p; cdf
+        # jumps at the window's edges, so a level in a tail gives that edge
+        i = int(np.clip(np.searchsorted(self._cum / self._mass, p), 1, self._cum.size - 1))
+        a, b = self._edges[i - 1:i + 1]
+        return float(optimize.brentq(lambda t: self.cdf(t) - p, a, b, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +425,8 @@ def _hoadley_log_likelihood(est: CalibrationEstimates):
     rxc = r * est.x_classical
     coef = f / (m + n - 3) + 1.0
 
-    def log_lik(x: float) -> float:
-        return 0.5 * (m + n - 3) * math.log(const + x * x) - 0.5 * (m + n - 2) * math.log(
+    def log_lik(x):
+        return 0.5 * (m + n - 3) * np.log(const + x * x) - 0.5 * (m + n - 2) * np.log(
             const + r * est.x_classical**2 + coef * (x - rxc) ** 2
         )
 
@@ -441,11 +443,10 @@ def hoadley_posterior(data: CalibrationData, prior: Callable[[float], float]) ->
     est = fit_calibration(data)
     log_lik, center = _hoadley_log_likelihood(est)
 
-    def log_density(x: float) -> float:
-        p = prior(x)
-        if p <= 0.0 or not np.isfinite(p):
-            return -math.inf
-        return math.log(p) + log_lik(x)
+    def log_density(x):
+        p = np.reshape([prior(t) for t in np.ravel(x).tolist()], np.shape(x))  # scalar prior
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(p) + log_lik(x)
 
     return Density1D(log_density, (-math.inf, math.inf), center_hint=center)
 
@@ -501,10 +502,9 @@ def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
     a = y_i
     c = n_total + 1.0
 
-    def log_density(x: float) -> float:
-        if x <= 0:
-            return -math.inf
-        return a * math.log(x) - c * math.log1p(x / s)
+    def log_density(x):
+        with np.errstate(divide="ignore", invalid="ignore"):  # x <= 0: zero density
+            return a * np.log(x) - c * np.log1p(x / s)
 
     exact_mean = s * (y_i + 1.0) / (n_total - y_i - 1.0)
     if n_total - y_i > 2:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,14 @@ class TestGroundwater:
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=0.0, T=1.0)
         with pytest.raises(ValueError, match=r"grid must cover \[0, T\) = \[0, 2.0\)"):
             fo.make_groundwater(g, D=1.0, nu=1.0, x_obs=1.0, T=2.0)
+
+    @pytest.mark.parametrize("D,x_obs", [(1e-320, 1.0), (1.0, 1e200)])
+    def test_exponent_overflow_gives_finite_matrix_without_warnings(self, D, x_obs):
+        # the exponent over- or underflows: exp gives 0 with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = fo.make_groundwater(fo.Grid(0.0, 1.0, 5), D, 1.0, x_obs, 1.0)
+        assert np.all(np.isfinite(op.matrix))
 
 
 # the node-pair formulas each stationary maker replaced: entry (i, j) is the

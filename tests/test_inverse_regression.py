@@ -323,6 +323,13 @@ class TestPoissonXval:
         dens = post.pdf(grid)
         assert np.all(np.diff(dens) < 0)
 
+    def test_heavy_tail_mean_matches_exact_mean(self):
+        # x p(x) decays like x^-2 here, so ~1e-5 of the mean lies beyond the
+        # window; the mapped tail panel must carry it
+        post = ir.poisson_xval_posterior([1.0, 1.0, 1.0], [1, 1, 1], 0)
+        assert post.exact_mean == 4.0
+        assert abs(post.mean() - post.exact_mean) <= 1e-12 * post.exact_mean
+
     def test_two_spare_counts_give_infinite_variance(self):
         # sum(y) - y[held] = 2: the mean exists, the variance does not
         post = ir.poisson_xval_posterior([1.0, 1.0, 1.0], [1, 1, 1], 0)
@@ -356,6 +363,15 @@ class TestInconsistencyExperiment:
             assert math.isfinite(row.posterior_sd)
             assert row.posterior_sd > 0
         assert rows[-1].posterior_sd >= 0.5 * rows[0].posterior_sd
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_moments_match_closed_forms_to_rounding(self, seed):
+        # the `inconsistency` posteriors (the golden run draws seed 1): the
+        # table's mean and variance equal the beta-prime forms to a few ulp
+        for row in ir.inconsistency_experiment(1.0, [100, 1000], seed):
+            post = row.posterior
+            assert abs(post.mean() / post.exact_mean - 1.0) < 1e-14
+            assert abs(post.variance() / post.exact_variance - 1.0) < 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -567,6 +583,25 @@ def test_cdf_matches_t_form_on_criterion_08_inputs(criterion_08_quantiles):
             assert abs(post.cdf(x) - stats.t.cdf((x - loc) / scale, df)) < 1e-12
 
 
+def test_pdf_and_mean_match_t_form_on_criterion_08_inputs(criterion_08_quantiles):
+    # the curve `calibrate` writes: the pdf on a grid across the window
+    for est, post, _ in criterion_08_quantiles:
+        loc, scale, df = ir.hoadley_t_posterior(est, 15)
+        grid = np.linspace(*post.window, 201)
+        exact = stats.t.pdf((grid - loc) / scale, df) / scale
+        assert np.abs(post.pdf(grid) - exact).max() < 1e-13 * exact.max()
+        assert abs(post.mean() - loc) < 1e-14 * scale
+
+
+def test_window_leaves_out_under_1e_10_of_the_t_mass(criterion_08_quantiles):
+    # the window ends at the first doubling shell that holds under 1e-10 of
+    # the mass, so the closed form puts no more than that outside it
+    for est, post, _ in criterion_08_quantiles:
+        loc, scale, df = ir.hoadley_t_posterior(est, 15)
+        lo, hi = post.window
+        assert stats.t.cdf((lo - loc) / scale, df) + stats.t.sf((hi - loc) / scale, df) < 1e-10
+
+
 def test_cdf_inverts_quantile(criterion_08_quantiles):
     for _, post, quantiles in criterion_08_quantiles:
         for p, (q, _) in quantiles.items():
@@ -594,3 +629,38 @@ def test_quantile_level_outside_unit_interval_rejected(p):
     dens = ir.Density1D(lambda x: -0.5 * x * x, (-math.inf, math.inf))
     with pytest.raises(ValueError, match="quantile level"):
         dens.quantile(p)
+
+
+# ---------------------------------------------------------------------------
+# Density1D against closed forms over random parameters: the moments and
+# quantiles within 1e-9 in units of the scale, the cdf within 1e-12
+# ---------------------------------------------------------------------------
+
+def check_against(dens, dist, scale, variance=True):
+    assert abs(dens.mean() - dist.mean()) < 1e-9 * scale
+    if variance:
+        assert abs(dens.variance() - dist.var()) < 1e-9 * scale**2
+    for p in LEVELS:
+        x = dist.ppf(p)
+        assert abs(dens.quantile(p) - x) < 1e-9 * scale
+        assert abs(dens.cdf(x) - dist.cdf(x)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(0.01, 100.0), st.floats(1.5, 200.0))
+def test_student_t_table_matches_scipy(loc, scale, df):
+    log_t = lambda x: -0.5 * (df + 1.0) * np.log1p(((x - loc) / scale) ** 2 / df)
+    dens = ir.Density1D(log_t, (-math.inf, math.inf), center_hint=loc)
+    # the variance exists for df > 2, but below df = 4 the single mapped tail
+    # panel resolves x^2 p(x) ~ |x|^(1 - df) only to ~1e-3 (df = 2.5)
+    check_against(dens, stats.t(df, loc, scale), scale, variance=df >= 4.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(4.0, 200.0), st.floats(0.01, 100.0))
+def test_gamma_table_matches_scipy(shape, scale):
+    # shape >= 4: a Gauss-Legendre panel ending at 0 resolves x^(shape - 1)
+    # to 1e-9 only when the power is smooth enough (shape 2.5 gives ~1e-7)
+    log_gamma = lambda x: (shape - 1.0) * np.log(x) - x / scale
+    dens = ir.Density1D(log_gamma, (0.0, math.inf), center_hint=shape * scale)
+    check_against(dens, stats.gamma(shape, scale=scale), scale)
