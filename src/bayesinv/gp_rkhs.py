@@ -154,11 +154,13 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
 
     Evaluation looks points up by value (binary search, 1e-9 tolerance), so
     ``points`` must be strictly increasing; used to restrict a grid prior
-    covariance to a GP-regression kernel.
+    covariance to a GP-regression kernel. The domain is the points' range,
+    widened by that tolerance; a point inside it but off the set is an error
+    that names the point.
     """
     points = check.finite("points", points)
-    if points.ndim != 1 or np.any(np.diff(points) <= 0):
-        raise ValueError("points must be a strictly increasing 1-d array")
+    if points.ndim != 1 or points.size == 0 or np.any(np.diff(points) <= 0):
+        raise ValueError("points must be a non-empty strictly increasing 1-d array")
     cov = check.finite("cov", cov, (points.size, points.size))
 
     def lookup(vals):
@@ -169,8 +171,10 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
         idx = np.where(
             np.abs(points[left] - vals) < np.abs(points[idx] - vals), left, idx
         )
-        if np.any(np.abs(points[idx] - vals) > 1e-9):
-            raise ValueError("matrix kernel evaluated off its point set")
+        off = np.abs(points[idx] - vals) > 1e-9
+        if np.any(off):
+            raise ValueError(f"matrix kernel evaluated at {float(vals[off].flat[0])!r}, "
+                             "off its point set")
         return idx
 
     def evaluate(x, xp):
@@ -180,7 +184,7 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
             return float(out)
         return out
 
-    return CovarianceKernel(evaluate)
+    return CovarianceKernel(evaluate, domain=(float(points[0]) - 1e-9, float(points[-1]) + 1e-9))
 
 
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:

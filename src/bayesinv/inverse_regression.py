@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.special import betaln, fdtri, poch
+from scipy.special import fdtri, poch
 
 from . import _checks as check
 
@@ -179,30 +179,47 @@ def confidence_set(est: CalibrationEstimates, alpha: float) -> ConfidenceSet:
     Large F gives a bounded interval, moderate F the complement of an
     interval, and small F the whole real line (flagged uninformative).
     """
+    kind, lower, upper = (v.item() for v in _invert(est, alpha))
+    if kind == "whole_line":
+        return ConfidenceSet(kind, None, None, alpha)
+    return ConfidenceSet(kind, lower, upper, alpha)
+
+
+def _invert(est: CalibrationEstimates, alpha: float) -> tuple:
+    """``confidence_set`` as arrays (kind, lower, upper) over the datasets of
+    ``est``, whose fields may hold floats or ``_fit_rows`` arrays; a whole
+    line's bounds are NaN."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if est.m != 1:
         raise ValueError(f"the confidence set is defined for m = 1, got m = {est.m}")
     n = est.n
-    f = est.f_stat
-    xc = est.x_classical
+    f = np.asarray(est.f_stat, dtype=float)
+    xc = np.asarray(est.x_classical, dtype=float)
     fcrit = float(fdtri(1, n - 2, 1.0 - alpha))
-    if math.isinf(f):
-        # perfect fit: the set collapses onto the classical estimate
-        return ConfidenceSet("interval", xc, xc, alpha)
-    if f == fcrit:
-        return ConfidenceSet("whole_line", None, None, alpha)
-    disc = fcrit * ((n + 1) * (f - fcrit) + f * xc**2)
-    if f > fcrit:
-        half = math.sqrt(disc) / (f - fcrit)
+    # every branch is evaluated on every dataset; the rows a branch does not
+    # select may divide by zero or meet inf - inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = fcrit * ((n + 1) * (f - fcrit) + f * xc**2)
+        half = np.sqrt(disc) / (f - fcrit)
         center = f * xc / (f - fcrit)
-        return ConfidenceSet("interval", center - half, center + half, alpha)
-    if f >= (n + 1) / (n + 1 + xc**2) * fcrit:
-        root = math.sqrt(max(disc, 0.0))
+        root = np.sqrt(np.maximum(disc, 0.0))
         a = (f * xc - root) / (f - fcrit)
         b = (f * xc + root) / (f - fcrit)
-        return ConfidenceSet("complement", min(a, b), max(a, b), alpha)
-    return ConfidenceSet("whole_line", None, None, alpha)
+        # the first branch that holds gives the shape; an infinite F (perfect
+        # fit) collapses the set onto the classical estimate
+        which = np.argmax([np.isinf(f), f == fcrit, f > fcrit,
+                           f >= (n + 1) / (n + 1 + xc**2) * fcrit, np.full(f.shape, True)], axis=0)
+        kind = np.array(["interval", "whole_line", "interval", "complement", "whole_line"])[which]
+        lower = np.choose(which, [xc, math.nan, center - half, np.minimum(a, b), math.nan])
+        upper = np.choose(which, [xc, math.nan, center + half, np.maximum(a, b), math.nan])
+    return kind, lower, upper
+
+
+def _covers(kind, lower, upper, x) -> np.ndarray:
+    """``ConfidenceSet.contains(x)`` over the arrays of ``_invert``."""
+    return np.select([kind == "interval", kind == "complement"],
+                     [(lower <= x) & (x <= upper), (x <= lower) | (x >= upper)], True)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +529,10 @@ def poisson_xval_posterior(x_all, y_all, held_out: int) -> Density1D:
         exact_variance = ex2 - exact_mean**2
     else:
         exact_variance = math.inf
-    exact_log_norm = (a + 1.0) * math.log(s) + float(betaln(a + 1.0, c - a - 1.0))
+    # log B(a + 1, q) with q = c - a - 1, as lgamma(a + 1) - sum_k<=a log(q + k): a is
+    # a count, and lgamma(q) - lgamma(q + a + 1) would cancel ~q log q digits
+    log_beta = math.lgamma(a + 1.0) - float(np.sum(np.log(c - a - 1.0 + np.arange(a + 1.0))))
+    exact_log_norm = (a + 1.0) * math.log(s) + log_beta
     return Density1D(
         log_density,
         (0.0, math.inf),
@@ -585,22 +605,74 @@ def simulate_calibration(
     default_rng(seed) gives the n training noises, then the m new ones."""
     x = standardized_design(n)
     check.count("m", m, 1)
-    y, y_new = _draw(x, m, alpha_true, beta_true, sigma, x_true, [seed])
+    z = np.random.default_rng(seed).standard_normal((1, n + m))
+    y, y_new = _draw(x, alpha_true, beta_true, sigma, x_true, z)
     return make_calibration_data(x, y[0], y_new[0])
 
 
-def _draw(x, m, alpha_true, beta_true, sigma, x_true, seeds):
-    """Responses y (k, n) on the design x and y_new (k, m) at x_true, dataset k
-    from n + m standard normals of default_rng(seeds[k]) drawn in one call."""
+def _draw(x, alpha_true, beta_true, sigma, x_true, z):
+    """Responses y (k, n) on the design x and y_new (k, m) at x_true from the
+    standard normals z (k, n + m): dataset k takes the training noises from the
+    first n of row k and the new-response noises from the rest."""
     for name, v in (("alpha_true", alpha_true), ("beta_true", beta_true), ("x_true", x_true)):
         check.finite(name, v)
     if sigma:  # sigma = 0 gives noise-free data
         check.positive("sigma", sigma)
     n = x.size
-    rows = [np.random.default_rng(s).standard_normal(n + m) for s in seeds]
-    z = np.reshape(rows, (len(seeds), n + m))
     return (alpha_true + beta_true * x + sigma * z[:, :n],
             alpha_true + beta_true * x_true + sigma * z[:, n:])
+
+
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _replicate_normals(seed: int, n_reps: int, size: int) -> np.ndarray:
+    """Row r is default_rng([seed, r]).standard_normal(size), bit for bit.
+
+    numpy's SeedSequence hashing of the entropy words (seed's little-endian
+    uint32 words, then r) runs in uint32 arithmetic on all replicates at once;
+    its hash constants advance alike for every row. PCG64's setseq seeding
+    then runs on Python ints, and one reused generator draws each row from the
+    state it is handed. A test against default_rng catches numpy changing this.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n_reps, w, np.uint32) for w in words] + [np.arange(n_reps, dtype=np.uint32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return out ^ out >> np.uint32(16)
+
+    # mix_entropy on a pool of four words, then generate_state(4, uint64)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n_reps, np.uint32))
+            for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]).astype(np.uint64)
+    keys = (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    out = np.empty((n_reps, size))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, keys):
+        # pcg64_set_seed: two LCG steps from state 0, adding the seed between them
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
+        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & (2**128 - 1)
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": lcg, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,14 +698,16 @@ def coverage_experiment(
 
     Replication r is ``simulate_calibration(n, 1, 0.0, beta_true, sigma,
     x_true, [seed, r])``: its own stream, so batching and order do not matter.
+    ``seed`` is a non-negative integer. The streams are seeded in bulk, and the
+    confidence sets of all replications are inverted in one array evaluation.
     """
     check.count("n_reps", n_reps, 1)
+    seed = check.count("seed", seed, 0)
     x = standardized_design(n)
-    seeds = [[seed, rep] for rep in range(n_reps)]
+    z = _replicate_normals(seed, n_reps, n + 1)
     # the fit sees the design centered, as make_calibration_data leaves it
-    batch = _fit_rows(x - x.mean(), *_draw(x, 1, 0.0, beta_true, sigma, x_true, seeds))
-    sets = [confidence_set(est, alpha) for est in _rows(batch)]
-    covered = np.array([cset.contains(x_true) for cset in sets], dtype=bool)
+    batch = _fit_rows(x - x.mean(), *_draw(x, 0.0, beta_true, sigma, x_true, z))
+    covered = _covers(*_invert(batch, alpha), x_true)
     return CoverageResult(float(covered.mean()), covered, batch.x_classical, batch.x_inverse,
                           alpha, x_true)
 
@@ -663,14 +737,16 @@ def estimator_risk_experiment(
     Uses a compact design (x on [-1/2, 1/2], not rescaled) so the estimated
     slope crosses zero often enough for the classical estimator's outliers to
     show up at feasible replication counts. Replication r uses the stream
-    default_rng([seed, r]), as in ``coverage_experiment``.
+    default_rng([seed, r]), seeded in bulk as in ``coverage_experiment``;
+    ``seed`` is a non-negative integer.
     """
     check.count("n_reps", n_reps, 2)  # the first half is compared with the whole
+    seed = check.count("seed", seed, 0)
     x = np.linspace(-0.5, 0.5, check.count("n", n, 3))
     x = x - x.mean()
-    seeds = [[seed, rep] for rep in range(n_reps)]
+    z = _replicate_normals(seed, n_reps, n + 1)
     # centered once more, as make_calibration_data does
-    batch = _fit_rows(x - x.mean(), *_draw(x, 1, 0.0, beta_true, sigma, x_true, seeds))
+    batch = _fit_rows(x - x.mean(), *_draw(x, 0.0, beta_true, sigma, x_true, z))
     xc, xi = batch.x_classical, batch.x_inverse
     half = n_reps // 2
     mse_half = float(np.mean((xi[:half] - x_true) ** 2))

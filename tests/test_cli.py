@@ -443,6 +443,8 @@ def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, messag
     (["coverage", "--n-reps", "0"], "n_reps must be an integer >= 1, got 0"),
     (["risk", "--n-reps", "1"], "n_reps must be an integer >= 2, got 1"),
     (["risk", "--n", "2"], "n must be an integer >= 3, got 2"),
+    (["coverage", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["risk", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
 ])
 def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

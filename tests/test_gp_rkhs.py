@@ -521,6 +521,20 @@ class TestBridgeToLinearPosterior:
         kern = gr.matrix_kernel(pts, np.eye(5))
         with pytest.raises(ValueError, match="point set"):
             kern.evaluate(0.33, 0.0)
+        # fits check their points against the point set's range by name, and
+        # a point in that range but off the set is named by its value
+        kern = gr.matrix_kernel([0.0, 0.5, 1.0], np.eye(3))
+        fit = gr.gp_fit([0.0, 0.5], [1.0, 2.0], kern, 0.1)
+        with pytest.raises(ValueError, match=r"^matrix kernel evaluated at 0\.3, off its point set"):
+            gr.gp_predict(fit, 0.3)
+        with pytest.raises(ValueError, match="^x_star must lie in"):
+            gr.gp_predict(fit, 1.5)
+        with pytest.raises(ValueError, match="^xs must lie in"):
+            gr.gp_predict_curve(fit, [0.5, -0.2])
+        with pytest.raises(ValueError, match="^x must lie in"):
+            gr.gp_fit([0.0, 2.0], [1.0, 2.0], kern, 0.1)
+        # the range is widened by the lookup's tolerance
+        assert gr.gp_predict(fit, 1.0 + 5e-10) == gr.gp_predict(fit, 1.0)
 
     def test_matrix_kernel_at_two_scalars_is_a_float(self):
         pts = np.linspace(0, 1, 5)

@@ -297,6 +297,20 @@ class TestPoissonXval:
         rel = math.exp(post.log_normalizer - post.exact_log_normalizer) - 1.0
         assert abs(rel) < 1e-8
 
+    @pytest.mark.parametrize("n", [100, 1000, 10000, 100000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_log_normalizer_exact_to_rounding(self, n, seed):
+        # the counts make B(a + 1, q) = a! / (q (q + 1) ... (q + a)), a ratio of
+        # integers whose logs Python takes to one rounding each
+        xs, ys = self.make_instance(seed, n=n)
+        held = seed
+        post = ir.poisson_xval_posterior(xs, ys, held)
+        a, q = int(ys[held]), int(ys.sum() - ys[held])
+        exact = ((a + 1) * math.log(xs.sum() - xs[held]) + math.log(math.factorial(a))
+                 - math.log(math.prod(range(q, q + a + 1))))
+        assert abs(post.exact_log_normalizer - exact) < 1e-12
+        assert abs(post.log_normalizer - post.exact_log_normalizer) < 1e-12
+
     def test_fifty_random_instances(self):
         # quadrature and beta-prime closed forms across many datasets
         count = 0
@@ -438,6 +452,45 @@ def test_coverage_experiment_matches_per_replicate_loop(seed, n, n_reps):
     assert res.x_classical.tobytes() == xc.tobytes()
     assert res.x_inverse.tobytes() == xi.tobytes()
     assert res.coverage == covered.mean()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**130), k=st.integers(1, 40), size=st.integers(0, 40))
+def test_replicate_normals_equal_default_rng_streams(seed, k, size):
+    # the bulk seeding copies numpy's SeedSequence and PCG64 seeding: this
+    # catches numpy changing either
+    expected = np.stack([np.random.default_rng([seed, r]).standard_normal(size) for r in range(k)])
+    assert ir._replicate_normals(seed, k, size).tobytes() == expected.tobytes()
+
+
+def _set_batch(n, rows):
+    """A ``_fit_rows``-shaped batch of (F, x_classical) rows with m = 1."""
+    f, xc = (np.array(col, dtype=float) for col in zip(*rows))
+    zero = np.zeros(f.size)
+    return ir.CalibrationEstimates(zero, zero, zero, zero, xc, xc, zero, None, zero, f, n, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+       drawn=st.lists(st.tuples(st.one_of(st.floats(0.0, 3.0), st.sampled_from([1.0, math.inf])),
+                                st.floats(-30.0, 30.0)), max_size=20),
+       x=st.floats(-60.0, 60.0))
+def test_array_inversion_equals_scalar_confidence_sets(n, alpha, drawn, x):
+    fcrit = float(stats.f.ppf(1.0 - alpha, 1, n - 2))
+    # rows are (F / fcrit, x_classical): F = fcrit, F = inf, an interval, a
+    # complement (F just below fcrit, x_classical large) and the whole line
+    fixed = [(1.0, 0.3), (math.inf, -0.7), (4.0, 1.5), (1.0 - 1e-9, 1e4), (0.1, 0.2)]
+    batch = _set_batch(n, [(r * fcrit, xc) for r, xc in fixed + drawn])
+    kind, lower, upper = ir._invert(batch, alpha)
+    sets = [ir.confidence_set(est, alpha) for est in ir._rows(batch)]
+    assert [s.kind for s in sets[:5]] == ["whole_line", "interval", "interval", "complement",
+                                          "whole_line"]
+    assert kind.tolist() == [s.kind for s in sets]
+    nan = math.nan
+    assert lower.tobytes() == np.array([nan if s.lower is None else s.lower for s in sets]).tobytes()
+    assert upper.tobytes() == np.array([nan if s.upper is None else s.upper for s in sets]).tobytes()
+    for point in [x, *lower[np.isfinite(lower)], *upper[np.isfinite(upper)]]:
+        assert ir._covers(kind, lower, upper, point).tolist() == [s.contains(point) for s in sets]
 
 
 @pytest.mark.parametrize("seed,n,n_reps", [(2024, 20, 400), (5, 4, 300), (11, 9, 120)])

@@ -71,6 +71,10 @@ LEAKS = [
     ("n_values", lambda: ir.inconsistency_experiment(0.5, [3], 12)),
     ("D", lambda: fo.make_groundwater(GRID, 5e-324, 1.0, 1.0, 1.0)),
     ("x_obs", lambda: fo.make_groundwater(GRID, 0.5, 1.0, 1e308, 1.0)),
+    ("seed", lambda: ir.coverage_experiment(20, 5.0, 1.0, 30, 0.05, 1.0, -1)),
+    ("seed", lambda: ir.coverage_experiment(20, 5.0, 1.0, 30, 0.05, 1.0, 2.5)),
+    ("seed", lambda: ir.estimator_risk_experiment(20, 1.0, 1.0, 20, 0.5, -1)),
+    ("seed", lambda: ir.estimator_risk_experiment(20, 1.0, 1.0, 20, 0.5, 2.5)),
 ]
 
 
@@ -202,12 +206,12 @@ CASES = {
     "simulate_calibration": case(partial(ir.simulate_calibration, seed=0),
                                  n=(6, C), m=(1, C), alpha_true=(0.0, S), beta_true=(2.0, S),
                                  sigma=(1.0, S), x_true=(0.5, S)),
-    "coverage_experiment": case(partial(ir.coverage_experiment, seed=0),
+    "coverage_experiment": case(ir.coverage_experiment,
                                 n_reps=(5, C), beta_true=(5.0, S), sigma=(1.0, S), n=(8, C),
-                                alpha=(0.05, S), x_true=(1.0, S)),
-    "estimator_risk_experiment": case(partial(ir.estimator_risk_experiment, seed=0),
+                                alpha=(0.05, S), x_true=(1.0, S), seed=(0, C)),
+    "estimator_risk_experiment": case(ir.estimator_risk_experiment,
                                       n_reps=(4, C), beta_true=(1.0, S), sigma=(1.0, S), n=(6, C),
-                                      x_true=(0.5, S)),
+                                      x_true=(0.5, S), seed=(0, C)),
 }
 STRATEGIES = {S: lambda valid: SCALAR, C: lambda valid: COUNT, A: _array}
 
