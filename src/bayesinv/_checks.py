@@ -44,7 +44,9 @@ def inside(name: str, arr: np.ndarray, domain) -> np.ndarray:
     """``arr`` unchanged; every entry must lie in the closed interval ``domain``."""
     lo, hi = domain
     if not np.all((lo <= arr) & (arr <= hi)):
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
+        # shortest round-trip values, so a widened end such as 1.000000001 shows
+        ends = (repr(float(v)).removesuffix(".0") for v in domain)
+        raise ValueError(f"{name} must lie in [{', '.join(ends)}]")
     return arr
 
 

@@ -393,7 +393,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         cli_val = getattr(args, key)
         if cli_val is not None:
             settings[key] = cli_val
-    seed = settings.pop("seed")
+    seed = check.count("seed", settings.pop("seed"), 0)
     out = settings.pop("out")
     if out is None:
         out = f"runs/{command}"

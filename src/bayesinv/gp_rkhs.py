@@ -9,6 +9,14 @@ predictions reject points outside it. Kernels with a known eigen-system under
 the uniform measure on [0, 1] carry ``analytic_eigen(j) -> (lambda_j, psi_j)``
 with 1-based index j.
 
+Scalar Markov kernels (Ornstein-Uhlenbeck, Brownian motion) carry
+``markov(a, b) -> (phi, q)``, for a <= b elementwise: f(b) | f(a) ~
+N(phi f(a), q), with marginal variance ``evaluate(x, x)``. On sorted points
+their precision is tridiagonal (Rue & Held 2005, GMRFs, ch. 2-3), so
+``gp_fit``, ``GPRegressionFit.solve``, the predictions and ``nystrom_eigen``
+run on that chain in O(n) and build no n x n matrix. Every other kernel takes
+the dense Gram path.
+
 The l-fold integrated Wiener process on [0, 1] (the prior behind every
 smoothing spline and the cubic-spline kernel) has one closed-form covariance
 (Wecker & Ansley 1983): with v = min(x, x'),
@@ -56,17 +64,26 @@ class CovarianceKernel:
     evaluate: Callable[..., np.ndarray]
     analytic_eigen: Optional[Callable[[int], tuple]] = None
     domain: tuple[float, float] = (-math.inf, math.inf)
+    markov: Optional[Callable[..., tuple]] = None
 
 
 def ou_kernel(b: float) -> CovarianceKernel:
-    """Ornstein-Uhlenbeck covariance (1/2b) exp(-b |x - x'|)."""
+    """Ornstein-Uhlenbeck covariance (1/2b) exp(-b |x - x'|).
+
+    Markov with phi = exp(-b delta) and q = (1 - exp(-2 b delta)) / 2b, the
+    latter by expm1: 1 - phi^2 loses digits at small delta.
+    """
     b = check.positive("b", b)
     check.representable("b", b, lambda: 1.0 / (2.0 * b))  # the variance
 
     def evaluate(x, xp):
         return np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
 
-    return CovarianceKernel(evaluate)
+    def markov(lo, hi):
+        delta = np.asarray(hi, dtype=float) - lo
+        return np.exp(-b * delta), -np.expm1(-2.0 * b * delta) / (2.0 * b)
+
+    return CovarianceKernel(evaluate, markov=markov)
 
 
 def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
@@ -90,7 +107,8 @@ def brownian_motion_kernel() -> CovarianceKernel:
     """min(x, x') on [0, 1], with its closed-form eigen-system.
 
     Under the uniform measure, lambda_j = 1/((j - 1/2)^2 pi^2) and
-    psi_j(x) = sqrt(2) sin((j - 1/2) pi x).
+    psi_j(x) = sqrt(2) sin((j - 1/2) pi x). Markov from f(0) = 0 with
+    phi = 1 and q = delta.
     """
 
     def evaluate(x, xp):
@@ -101,7 +119,11 @@ def brownian_motion_kernel() -> CovarianceKernel:
         freq = (j - 0.5) * math.pi
         return 1.0 / freq**2, lambda x: math.sqrt(2.0) * np.sin(freq * np.asarray(x))
 
-    return CovarianceKernel(evaluate, analytic_eigen, (0.0, 1.0))
+    def markov(lo, hi):
+        delta = np.asarray(hi, dtype=float) - lo
+        return np.ones_like(delta), delta
+
+    return CovarianceKernel(evaluate, analytic_eigen, (0.0, 1.0), markov)
 
 
 def integrated_wiener_cov(l: int, x, x_prime):
@@ -117,12 +139,18 @@ def integrated_wiener_cov(l: int, x, x_prime):
     if not (np.all((0.0 <= x) & (x <= 1.0)) and np.all((0.0 <= xp) & (xp <= 1.0))):
         raise ValueError("x and x_prime must lie in [0, 1]")
     v = np.minimum(x, xp)
-    d = np.abs(x - xp)
+    d = np.asarray(x - xp)
+    np.abs(d, out=d)
     scale = math.factorial(l) ** 2
-    out = sum(
-        math.comb(l, j) * d ** (l - j) * v ** (l + j + 1) / ((l + j + 1) * scale)
-        for j in range(l + 1)
-    )
+    # Horner in d over the positive terms, v's powers by multiplication, in place
+    power = v * v if l else v
+    for _ in range(l - 1):
+        power *= v
+    out = power * (1.0 / ((l + 1) * scale))
+    for j in range(1, l + 1):
+        power *= v
+        out *= d
+        out += power * (math.comb(l, j) / ((l + j + 1) * scale))
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,23 +221,204 @@ def gram(kernel: CovarianceKernel, points) -> np.ndarray:
     return np.asarray(kernel.evaluate(points[:, None], points[None, :]), dtype=float)
 
 
+@dataclass(init=False, eq=False)
+class _Chain:
+    """A Markov kernel's prior at sorted distinct points ``x``: the marginal
+    variances ``var`` and the steps (``phi``, ``q``) between neighbours. A
+    leading point of zero variance (Brownian motion at 0) is pinned to 0,
+    ``start = 1``, and the chain proper begins after it."""
+
+    x: np.ndarray
+    var: np.ndarray
+    phi: np.ndarray
+    q: np.ndarray
+    start: int
+
+    def __init__(self, kernel: CovarianceKernel, x: np.ndarray):
+        self.x = x
+        self.var = np.asarray(kernel.evaluate(x, x), dtype=float)
+        self.phi, self.q = (np.asarray(a, dtype=float) for a in kernel.markov(x[:-1], x[1:]))
+        self.start = int(self.var[0] == 0.0)
+
+    def precision(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the tridiagonal prior precision of the chain proper."""
+        s = self.start
+        phi, q = self.phi[s:], self.q[s:]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            diag = np.append(1.0 / self.var[s:s + 1], 1.0 / q)
+            diag[:-1] += phi * phi / q
+            off = -phi / q
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise np.linalg.LinAlgError("the prior precision overflows: two points (nearly) coincide")
+        return diag, off
+
+    def kv(self, v: np.ndarray) -> np.ndarray:
+        """K v in O(n), as two passes over Python floats: for j <= i,
+        Cov(f_i, f_j) = var_j phi_j ... phi_(i-1)."""
+        var, phi_in, vals = self.var.tolist(), [0.0, *self.phi.tolist()], v.tolist()
+        lower, acc = [], 0.0
+        for p, s, vi in zip(phi_in, var, vals):
+            acc = p * acc + s * vi
+            lower.append(acc)
+        out, acc = [], 0.0
+        for p, s, vi, lo in zip(phi_in[::-1], var[::-1], vals[::-1], lower[::-1]):
+            out.append(lo + s * acc)
+            acc = p * (vi + acc)
+        return np.array(out[::-1])
+
+
+@dataclass(init=False, eq=False)
+class _ChainFactor:
+    """Banded Cholesky factor of the tridiagonal posterior precision Q + I / sigma^2
+    of a Markov kernel's values at the sorted training points.
+
+    The pivots are D_j = t_j + phi_j^2 / q_j, with t_j the filtered information
+    1 / (q_(j-1) + phi_(j-1)^2 / t_(j-1)) + 1 / sigma^2: sums of positive terms,
+    where LAPACK's pivots A_jj - A_j(j-1)^2 / D_(j-1) cancel to ~eps / q of the
+    closest pair. (K + sigma^2 I)^(-1) v = (v - E[f | data v]) / sigma^2,
+    followed by one step of iterative refinement with the O(n) K v. The
+    posterior variances and lag-1 covariances at the training points come from
+    the Takahashi recurrence on the factor; a prediction conditions on its two
+    neighbouring training points (the Markov bridge).
+    """
+
+    order: np.ndarray  # sorts x_train
+    chain: _Chain
+    noise: float
+    lower: np.ndarray
+    variances: np.ndarray  # posterior, at the sorted training points
+    lag: np.ndarray  # posterior covariance of each sorted point with the next
+    coefficients: np.ndarray
+    mean: np.ndarray  # posterior, at the sorted training points
+
+    def __init__(self, kernel: CovarianceKernel, x: np.ndarray, y: np.ndarray, sigma: float):
+        self.order = np.argsort(x)
+        self.chain = chain = _Chain(kernel, x[self.order])
+        self.noise = sigma * sigma
+        s = chain.start
+        phi, q = chain.phi[s:], chain.q[s:]
+        info, t = [], 1.0
+        # the first point's step comes from the prior: phi = 0, q = its variance
+        for p, step in zip([0.0, *phi.tolist()], [*chain.var[s:s + 1].tolist(), *q.tolist()]):
+            t = 1.0 / (step + p * p / t) + 1.0 / self.noise
+            info.append(t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pivots = np.array(info)
+            pivots[:-1] += phi * phi / q
+            unit = -phi / (q * pivots[:-1])  # L's subdiagonal with a unit diagonal
+            root = np.sqrt(pivots)
+            self.lower = np.vstack([root, np.append(unit * root[:-1], 0.0)[:root.size]])
+        if not (np.isfinite(self.lower).all() and np.all(pivots > 0.0)):
+            raise np.linalg.LinAlgError("the posterior precision is numerically singular")
+        # Takahashi: Sigma_jj = 1/D_j + l_j^2 Sigma_(j+1)(j+1), Sigma_j(j+1) = -l_j Sigma_(j+1)(j+1)
+        variances, lag, after = [0.0] * x.size, [0.0] * x.size, 0.0
+        for j, d, l in zip(range(x.size - 1, s - 1, -1), pivots[::-1].tolist(),
+                           [0.0, *unit[::-1].tolist()]):
+            lag[j] = -l * after
+            after = variances[j] = 1.0 / d + l * l * after
+        self.variances, self.lag = np.array(variances), np.array(lag)
+        self.coefficients = self.solve(y)
+        self.mean = chain.kv(self.coefficients[self.order])
+
+    def _unrefined_solve(self, v: np.ndarray) -> np.ndarray:
+        """(v - E[f | data v]) / sigma^2 for columns v in sorted order."""
+        mean = np.zeros_like(v)
+        if self.lower.size:
+            mean[self.chain.start:] = linalg.cho_solve_banded(
+                (self.lower, True), v[self.chain.start:] / self.noise, check_finite=False)
+        return (v - mean) / self.noise
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        cols = v[self.order].reshape(v.shape[0], -1)
+        coef = self._unrefined_solve(cols)
+        prod = np.empty_like(coef)
+        for j in range(cols.shape[1]):
+            prod[:, j] = self.chain.kv(coef[:, j])
+        coef = coef + self._unrefined_solve(cols - prod - self.noise * coef)
+        out = np.empty_like(coef)
+        out[self.order] = coef
+        return out.reshape(v.shape)
+
+    def predict(self, fit: GPRegressionFit, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bridge f* | f_i, f_(i+1) for x_i <= x* < x_(i+1); past the left end
+        the prior takes the left neighbour's place, past the right end nothing
+        takes the right one's (phi = 0, q = 1)."""
+        markov, x, last = fit.kernel.markov, self.chain.x, self.chain.x.size - 1
+        i = np.searchsorted(x, xs, side="right") - 1
+        left, right = i >= 0, i < last
+        il, ir = np.maximum(i, 0), np.minimum(i + 1, last)
+        phi1, q1 = markov(np.where(left, x[il], xs), xs)
+        q1 = np.where(left, q1, np.asarray(fit.kernel.evaluate(xs, xs), dtype=float))
+        phi2, q2 = markov(xs, np.where(right, x[ir], xs))
+        phi2, q2 = np.where(right, phi2, 0.0), np.where(right, q2, 1.0)
+        denom = q2 + phi2 * phi2 * q1
+        a, b = phi1 * q2 / denom, phi2 * q1 / denom
+        var_l = np.where(left, self.variances[il], 0.0)
+        means = a * np.where(left, self.mean[il], 0.0) + b * self.mean[ir]
+        variances = (q1 * q2 / denom + a * a * var_l
+                     + 2.0 * a * b * np.where(left, self.lag[il], 0.0) + b * b * self.variances[ir])
+        return means, variances
+
+
+@dataclass(init=False, eq=False)
+class _DenseFactor:
+    """Cholesky factor of K + sigma^2 I, for kernels without a Markov hook."""
+
+    lower: np.ndarray
+    coefficients: np.ndarray
+
+    def __init__(self, kernel: CovarianceKernel, x: np.ndarray, y: np.ndarray, sigma: float):
+        try:
+            self.lower = linalg.cholesky(_regularized_gram(kernel, x, sigma), lower=True)
+        except linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
+        self.coefficients = self.solve(y)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        return linalg.cho_solve((self.lower, True), v, check_finite=False)
+
+    def predict(self, fit: GPRegressionFit, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representer mean, and k(x*, x*) - |L^(-1) K(x_train, x*)|^2 by one triangular solve."""
+        smat = check.finite("kernel", fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]))
+        w = linalg.solve_triangular(self.lower, smat.T, lower=True, check_finite=False)
+        prior = np.asarray(fit.kernel.evaluate(xs, xs), dtype=float)
+        return smat @ fit.coefficients, prior - np.einsum("ij,ij->j", w, w)
+
+
 def nystrom_eigen(kernel: CovarianceKernel, n: int, count: int, seed: int):
     """Top eigenpairs of the Gram matrix on n uniform draws from [0, 1].
 
     Returns [(lambda_hat, u), ...] sorted by decreasing lambda_hat, where
     lambda_hat = lambda_j(Sigma_n) / n estimates the kernel eigenvalue and the
     eigenvectors u have unit Euclidean norm. Only those ``count`` pairs are
-    computed (LAPACK ``dsyevr`` on an index subset).
+    computed: for a Markov kernel, the bottom eigenpairs of its tridiagonal
+    precision on the sorted draws, each eigenvalue then taken as the Rayleigh
+    quotient u^T K u with the O(n) K u (the tridiagonal eigenvalues alone are
+    good to ~1e-8 only); otherwise LAPACK ``dsyevr`` on an index subset.
     """
     check.count("count", count, 1, check.count("n", n, 1))
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, n)
-    sigma_n = gram(kernel, points)
-    try:
-        vals, vecs = linalg.eigh(sigma_n, subset_by_index=[n - count, n - 1], driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("Gram matrix eigendecomposition failed") from exc
-    return [(float(vals[j]) / n, vecs[:, j].copy()) for j in reversed(range(count))]
+    if kernel.markov is None:
+        try:
+            vals, vecs = linalg.eigh(gram(kernel, points), subset_by_index=[n - count, n - 1],
+                                     driver="evr")
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError("Gram matrix eigendecomposition failed") from exc
+        return [(float(vals[j]) / n, vecs[:, j].copy()) for j in reversed(range(count))]
+    order = np.argsort(points)
+    chain = _Chain(kernel, points[order])
+    diag, off = chain.precision()
+    # a pinned point adds the eigenvalue 0 with its unit vector
+    top = min(count, diag.size)
+    sorted_vecs = np.zeros((n, count))
+    sorted_vecs[0, top:] = 1.0
+    if top:
+        _, sorted_vecs[chain.start:, :top] = linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, top - 1))
+    vecs = np.empty_like(sorted_vecs)
+    vecs[order] = sorted_vecs
+    return [(float(u @ chain.kv(u)) / n, v) for u, v in zip(sorted_vecs.T, vecs.T.copy())]
 
 
 def rkhs_norm_truncated(theta_coeffs, eigenvalues) -> float:
@@ -234,12 +443,11 @@ class GPRegressionFit:
     kernel: CovarianceKernel
     sigma: float
     coefficients: np.ndarray
-    _chol: np.ndarray = field(repr=False)
+    _chol: _ChainFactor | _DenseFactor = field(repr=False)
 
     def solve(self, v) -> np.ndarray:
         """(K + sigma^2 I)^(-1) v for ``v`` of leading length n, by the private Cholesky factor."""
-        v = check.finite("v", v, (self.x_train.size, *np.shape(v)[1:]))
-        return linalg.cho_solve((self._chol, True), v)
+        return self._chol.solve(check.finite("v", v, (self.x_train.size, *np.shape(v)[1:])))
 
     @functools.cached_property
     def condition_estimate(self) -> float:
@@ -252,7 +460,11 @@ class GPRegressionFit:
 
 
 def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
-    """Solve (K + sigma^2 I) c = y by Cholesky; the factor is kept on the fit."""
+    """Solve (K + sigma^2 I) c = y; the factor is kept on the fit.
+
+    A Markov kernel factors its O(n) tridiagonal posterior precision, any other
+    kernel the dense K + sigma^2 I by Cholesky.
+    """
     sigma = check.positive("sigma", sigma)
     x = check.inside("x", check.finite("x", x), kernel.domain)
     y = check.finite("y", y, x.shape)
@@ -262,12 +474,8 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
         raise ValueError("x must be a 1-d array")
     if np.unique(x).size != x.size:
         raise ValueError("training inputs must be distinct")
-    try:
-        chol = linalg.cholesky(_regularized_gram(kernel, x, sigma), lower=True)
-    except linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
-    coef = linalg.cho_solve((chol, True), y)
-    return GPRegressionFit(x, y, kernel, sigma, coef, chol)
+    factor = (_DenseFactor if kernel.markov is None else _ChainFactor)(kernel, x, y, sigma)
+    return GPRegressionFit(x, y, kernel, sigma, factor.coefficients, factor)
 
 
 def gp_predict(fit: GPRegressionFit, x_star: float):
@@ -280,16 +488,11 @@ def gp_predict(fit: GPRegressionFit, x_star: float):
 def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized posterior mean and variance over a grid of points.
 
-    The mean is the representer form sum_i c_i K(x*, x_i). The variance is
-    k(x*, x*) - |L^(-1) K(x_train, x*)|^2, one triangular solve on the Cholesky
-    factor L, clamped to zero within a -1e-10 tolerance; lower is an error.
+    The mean equals the representer form sum_i c_i K(x*, x_i). The variance is
+    clamped to zero within a -1e-10 tolerance; lower is an error.
     """
     xs = check.inside("xs", check.finite("xs", xs), fit.kernel.domain)
-    smat = np.asarray(fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]), dtype=float)
-    means = smat @ fit.coefficients
-    w = linalg.solve_triangular(fit._chol, smat.T, lower=True)
-    diag_prior = np.asarray(fit.kernel.evaluate(xs, xs), dtype=float)
-    variances = diag_prior - np.einsum("ij,ij->j", w, w)
+    means, variances = fit._chol.predict(fit, xs)
     if np.any(variances < -1e-10):
         raise ValueError("predictive variance below the clamping tolerance")
     return means, np.clip(variances, 0.0, None)

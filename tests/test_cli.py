@@ -453,6 +453,15 @@ def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_negative_seed_named_and_writes_nothing(tmp_path, capsys, command):
+    # checked once where the run's settings are merged, before numpy sees it
+    out = tmp_path / "o"
+    assert run_cli([command, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "bayesinv: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["calibrate", "--ynew", "5"], "--ynew is used only when --data is given"),
     (["calibrate", "--data", "{data}", "--ynew", "1,abc"],
