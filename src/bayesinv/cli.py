@@ -101,7 +101,7 @@ class ExperimentConfig:
 def _write_run(cfg: ExperimentConfig, outputs: dict) -> None:
     """Create the run's directory and write manifest.json, then each output in order.
 
-    A ``.csv`` output is a ``(header, rows)`` pair for ``write_csv``; a
+    A ``.csv`` output is a ``(header, columns)`` pair for ``write_csv``; a
     ``.json`` output is the dict to dump. The directory may already exist
     only if it holds nothing but files of this run's names, so a run never
     lands beside another run's files; nothing is ever deleted.
@@ -123,8 +123,7 @@ def _write_run(cfg: ExperimentConfig, outputs: dict) -> None:
             write_csv(out / name, *content)
         else:
             with open(out / name, "w") as fh:
-                json.dump(content, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
 
 
 def _comma_list(key: str, value: str, kind: type) -> list:
@@ -184,10 +183,10 @@ def cmd_demo_linear(cfg: ExperimentConfig) -> dict:
     post = linear_posterior.fit(op, prior, y, p["sigma"])
     sd = linear_posterior.posterior_sd(post)
     return {
-        "truth.csv": (["x", "theta_true"], zip(grid.nodes, truth)),
-        "data.csv": (["x", "y"], zip(op.row_grid.nodes, y)),
+        "truth.csv": (["x", "theta_true"], [grid.nodes, truth]),
+        "data.csv": (["x", "y"], [op.row_grid.nodes, y]),
         "posterior.csv": (["x", "mean", "lower", "upper"],
-                          zip(grid.nodes, post.mean, post.mean - 2 * sd, post.mean + 2 * sd)),
+                          [grid.nodes, post.mean, post.mean - 2 * sd, post.mean + 2 * sd]),
         "summary.json": {
             "rmse_map": float(np.sqrt(np.mean((post.mean - truth) ** 2))),
             "rmse_data": float(np.sqrt(np.mean((y - truth) ** 2))),
@@ -215,8 +214,8 @@ def cmd_gp(cfg: ExperimentConfig) -> dict:
     grid = np.linspace(0.0, 1.0, num_pred)
     means, variances = gp_rkhs.gp_predict_curve(fit, grid)
     return {
-        "curve.csv": (["x", "mean", "sd"], zip(grid, means, np.sqrt(variances))),
-        "data.csv": (["x", "y"], zip(xs, ys)),
+        "curve.csv": (["x", "mean", "sd"], [grid, means, np.sqrt(variances)]),
+        "data.csv": (["x", "y"], [xs, ys]),
         "summary.json": {
             "representer_residual_max": resid,
             "condition_estimate": fit.condition_estimate,
@@ -261,7 +260,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> dict:
         posterior = inverse_regression.hoadley_posterior(data, prior)
         grid = np.linspace(*posterior.window, curve_points)
         dens = posterior.pdf(grid)
-        outputs["posterior.csv"] = (["x", "density"], zip(grid, dens))
+        outputs["posterior.csv"] = (["x", "density"], [grid, dens])
         payload["posterior_integral"] = float(np.trapezoid(dens, grid))
         payload["posterior_mean"] = posterior.mean()
     else:
@@ -276,15 +275,15 @@ def cmd_inconsistency(cfg: ExperimentConfig) -> dict:
     n_values = _comma_list("n_values", p["n_values"], int)
     rows = inverse_regression.inconsistency_experiment(p["theta"], n_values, cfg.seed)
     outputs = {"table.csv": (["n", "posterior_sd", "x_true"],
-                             [(row.n, row.posterior_sd, row.x_true) for row in rows])}
+                             [[row.n for row in rows], [row.posterior_sd for row in rows],
+                              [row.x_true for row in rows]])}
     for row in rows:
         lo = max(row.posterior.window[0], 1e-9)
         hi = row.posterior.exact_mean + 6.0 * row.posterior_sd
         grid = np.linspace(lo, hi, curve_points)
         dens = row.posterior.pdf(grid)
-        # a list, not a generator: a generator would read row.x_true after the loop moved on
         outputs[f"density_n{row.n}.csv"] = (["x", "density", "x_true"],
-                                             [(a, b, row.x_true) for a, b in zip(grid, dens)])
+                                             [grid, dens, row.x_true])
     ratio = rows[-1].posterior_sd / rows[0].posterior_sd
     return {**outputs, "summary.json": {"sd_ratio_last_over_first": ratio}}
 
@@ -294,7 +293,7 @@ def cmd_coverage(cfg: ExperimentConfig) -> dict:
     return {
         "replications.csv": (
             ["replication", "x_classical", "x_inverse", "covered"],
-            zip(range(res.covered.size), res.x_classical, res.x_inverse, res.covered.astype(int)),
+            [np.arange(res.covered.size), res.x_classical, res.x_inverse, res.covered.astype(int)],
         ),
         "summary.json": {"coverage": res.coverage},
     }
@@ -309,7 +308,7 @@ def cmd_risk(cfg: ExperimentConfig) -> dict:
     res = inverse_regression.estimator_risk_experiment(**cfg.params, seed=cfg.seed)
     return {
         "replications.csv": (["replication", "x_classical", "x_inverse"],
-                             zip(range(res.x_inverse.size), res.x_classical, res.x_inverse)),
+                             [np.arange(res.x_inverse.size), res.x_classical, res.x_inverse]),
         "summary.json": {
             "mse_inverse_half_over_full": _ratio(res.mse_inverse_half, res.mse_inverse_full),
             "max_over_median_abs_classical": _ratio(res.max_abs_classical,

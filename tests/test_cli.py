@@ -482,6 +482,32 @@ def test_list_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["gp"], ["calibrate", "--ynew", "1.0"]])
+@pytest.mark.parametrize("text, message", [
+    ("x,y\n0.1,0.2\n0.3\n", "line 3: expected 2 values, got 1"),
+    ("x,y\n0.1,0.2\n0.3,abc\n", "line 3: could not convert string to float: 'abc'"),
+])
+def test_bad_data_row_names_file_and_line_and_writes_nothing(tmp_path, capsys, command, text,
+                                                             message):
+    data, out = tmp_path / "obs.csv", tmp_path / "o"
+    data.write_text(text)
+    assert run_cli([*command, "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bayesinv: {data}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["gp"], "x must hold at least one training input"),
+    (["calibrate", "--ynew", "1.0"], "x must be 1-d with n >= 3 training pairs, got shape (0,)"),
+])
+def test_header_only_data_reaches_the_fit_and_writes_nothing(tmp_path, capsys, command, message):
+    data, out = tmp_path / "obs.csv", tmp_path / "o"
+    data.write_text("x,y\n")
+    assert run_cli([*command, "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bayesinv: {message}\n"
+    assert not out.exists()
+
+
 def snapshot(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 

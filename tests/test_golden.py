@@ -144,7 +144,7 @@ def test_report_covers_bare_matrices_and_json_keys(tmp_path):
     base = GOLDEN / "prior_jump"
     matrix = read_csv(base / "saved.csv")
     matrix[2, 1] *= 2.0
-    write_csv(tmp_path / "saved.csv", None, matrix)
+    write_csv(tmp_path / "saved.csv", None, matrix.T)
     assert changes(base / "saved.csv", tmp_path / "saved.csv") == [
         "saved.csv 1: largest relative change 1"]
     header = json.loads((base / "saved.json").read_text())
