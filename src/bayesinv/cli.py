@@ -164,8 +164,8 @@ TRUTHS = {
 GP_KERNELS = {
     "ou": lambda p: gp_rkhs.ou_kernel(p["b"]),
     "sqexp": lambda p: gp_rkhs.squared_exponential_kernel(p["b"]),
-    "brownian": lambda p: gp_rkhs.brownian_motion_kernel(),
-    "spline": lambda p: gp_rkhs.spline_cubic_kernel(p["variance"]),
+    "brownian": lambda p: gp_rkhs.integrated_wiener_kernel(0, p["variance"]),
+    "spline": lambda p: gp_rkhs.integrated_wiener_kernel(1, p["variance"]),
 }
 SELECTORS = {
     "demo-linear": {"kernel": OPERATORS, "prior": PRIORS, "truth": TRUTHS},

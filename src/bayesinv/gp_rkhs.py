@@ -9,7 +9,7 @@ predictions reject points outside it. Kernels with a known eigen-system under
 the uniform measure on [0, 1] carry ``analytic_eigen(j) -> (lambda_j, psi_j)``
 with 1-based index j.
 
-Scalar Markov kernels (Ornstein-Uhlenbeck, Brownian motion) carry
+Scalar Markov kernels (Ornstein-Uhlenbeck, Brownian motion at any variance) carry
 ``markov(a, b) -> (phi, q)``, for a <= b elementwise: f(b) | f(a) ~
 N(phi f(a), q), with marginal variance ``evaluate(x, x)``. On sorted points
 their precision is tridiagonal (Rue & Held 2005, GMRFs, ch. 2-3), so
@@ -18,8 +18,9 @@ run on that chain in O(n) and build no n x n matrix. Every other kernel takes
 the dense Gram path.
 
 The l-fold integrated Wiener process on [0, 1] (the prior behind every
-smoothing spline and the cubic-spline kernel) has one closed-form covariance
-(Wecker & Ansley 1983): with v = min(x, x'),
+smoothing spline; Brownian motion at l = 0, the cubic-spline kernel at l = 1)
+has one closed-form covariance (Wecker & Ansley 1983) and one constructor,
+``integrated_wiener_kernel(l, variance)``: with v = min(x, x'),
 
     k_l(x, x') = sum_{j=0..l} C(l, j) |x - x'|^(l-j) v^(l+j+1) / ((l+j+1) (l!)^2).
 """
@@ -43,6 +44,7 @@ __all__ = [
     "squared_exponential_kernel",
     "brownian_motion_kernel",
     "spline_cubic_kernel",
+    "integrated_wiener_kernel",
     "integrated_wiener_cov",
     "spectral_numeric_kernel",
     "matrix_kernel",
@@ -103,29 +105,6 @@ def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
     return CovarianceKernel(evaluate)
 
 
-def brownian_motion_kernel() -> CovarianceKernel:
-    """min(x, x') on [0, 1], with its closed-form eigen-system.
-
-    Under the uniform measure, lambda_j = 1/((j - 1/2)^2 pi^2) and
-    psi_j(x) = sqrt(2) sin((j - 1/2) pi x). Markov from f(0) = 0 with
-    phi = 1 and q = delta.
-    """
-
-    def evaluate(x, xp):
-        return np.minimum(np.asarray(x, dtype=float), xp)
-
-    def analytic_eigen(j: int):
-        check.count("j", j, 1)
-        freq = (j - 0.5) * math.pi
-        return 1.0 / freq**2, lambda x: math.sqrt(2.0) * np.sin(freq * np.asarray(x))
-
-    def markov(lo, hi):
-        delta = np.asarray(hi, dtype=float) - lo
-        return np.ones_like(delta), delta
-
-    return CovarianceKernel(evaluate, analytic_eigen, (0.0, 1.0), markov)
-
-
 def integrated_wiener_cov(l: int, x, x_prime):
     """Covariance of the l-fold integrated Wiener process at (x, x').
 
@@ -146,7 +125,7 @@ def integrated_wiener_cov(l: int, x, x_prime):
     power = v * v if l else v
     for _ in range(l - 1):
         power *= v
-    out = power * (1.0 / ((l + 1) * scale))
+    out = power * (1 / ((l + 1) * scale))  # int / int underflows to 0.0, 1.0 / int overflows
     for j in range(1, l + 1):
         power *= v
         out *= d
@@ -154,17 +133,40 @@ def integrated_wiener_cov(l: int, x, x_prime):
     return float(out) if out.ndim == 0 else out
 
 
-def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
-    """Cubic-spline covariance variance * (|x-x'| v^2/2 + v^3/3), v = min.
-
-    This is the once-integrated Wiener covariance (l = 1) scaled by variance.
-    """
+def integrated_wiener_kernel(l: int, variance: float = 1.0) -> CovarianceKernel:
+    """variance * k_l on [0, 1], by ``integrated_wiener_cov`` for l >= 1. At l = 0, Brownian
+    motion: Markov from f(0) = 0 with phi = 1 and q = variance * delta, and eigenpairs
+    lambda_j = variance / ((j - 1/2)^2 pi^2), psi_j(x) = sqrt(2) sin((j - 1/2) pi x)."""
+    check.count("l", l, 0)
     variance = check.positive("variance", variance)
+    if l:
+        return CovarianceKernel(lambda x, xp: variance * integrated_wiener_cov(l, x, xp),
+                                domain=(0.0, 1.0))
 
     def evaluate(x, xp):
-        return variance * integrated_wiener_cov(1, x, xp)
+        # v min(x, x') bit for bit; a Gram scales its n inputs, not its n^2 entries
+        return np.minimum(np.multiply(variance, x), np.multiply(variance, xp))
 
-    return CovarianceKernel(evaluate, domain=(0.0, 1.0))
+    def analytic_eigen(j: int):
+        check.count("j", j, 1)
+        freq = (j - 0.5) * math.pi
+        return variance / freq**2, lambda x: math.sqrt(2.0) * np.sin(freq * np.asarray(x))
+
+    def markov(lo, hi):
+        delta = np.asarray(hi, dtype=float) - lo
+        return np.ones_like(delta), variance * delta
+
+    return CovarianceKernel(evaluate, analytic_eigen, (0.0, 1.0), markov)
+
+
+def brownian_motion_kernel() -> CovarianceKernel:
+    """Brownian motion min(x, x') on [0, 1]: the integrated Wiener kernel at l = 0."""
+    return integrated_wiener_kernel(0)
+
+
+def spline_cubic_kernel(variance: float = 1.0) -> CovarianceKernel:
+    """Cubic-spline covariance variance * (|x-x'| v^2/2 + v^3/3), v = min: l = 1."""
+    return integrated_wiener_kernel(1, variance)
 
 
 def spectral_numeric_kernel(b) -> CovarianceKernel:

@@ -1,12 +1,13 @@
 """Smoothing splines of order m = 1, 2, 3 as Gaussian-process posterior means.
 
-The process prior is the (m-1)-fold integrated Wiener process (covariance
-``gp_rkhs.integrated_wiener_cov``) plus a polynomial trend of degree m-1 whose
-coefficients get a vague prior. A spline fit is ``gp_fit`` under that
-covariance, then generalized least squares for the trend through the fit's
-``solve``: the exact vague-prior limit. The posterior mean is the
-classical smoothing spline of order m (cubic for the default m = 2: piecewise
-cubic between knots, linear outside them).
+The process prior is the (m-1)-fold integrated Wiener process (the kernel
+``gp_rkhs.integrated_wiener_kernel(m - 1, sigma2_theta)``) plus a polynomial
+trend of degree m-1 whose coefficients get a vague prior. A spline fit is
+``gp_fit`` under that kernel, then generalized least squares for the trend
+through the fit's ``solve``: the exact vague-prior limit. At m = 1 the prior is
+Brownian motion, so the fit runs on its O(n) Markov chain. The posterior mean
+is the classical smoothing spline of order m (cubic for the default m = 2:
+piecewise cubic between knots, linear outside them).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks as check
-from .gp_rkhs import CovarianceKernel, GPRegressionFit, gp_fit, integrated_wiener_cov
+from .gp_rkhs import GPRegressionFit, gp_fit, integrated_wiener_cov, integrated_wiener_kernel
 
 __all__ = [
     "SplineFit",
@@ -69,10 +70,7 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     sigma2_theta = check.positive("sigma2_theta", sigma2_theta)
     check.count("m_order", m_order, 1, 3)
 
-    kernel = CovarianceKernel(
-        lambda a, b: sigma2_theta * integrated_wiener_cov(m_order - 1, a, b), domain=(0.0, 1.0)
-    )
-    gp = gp_fit(x, y, kernel, math.sqrt(sigma2))
+    gp = gp_fit(x, y, integrated_wiener_kernel(m_order - 1, sigma2_theta), math.sqrt(sigma2))
     hmat = _poly_basis(x, m_order)  # n x m
     beta_hat = np.linalg.solve(hmat.T @ gp.solve(hmat), hmat.T @ gp.coefficients)
     coefficients = gp.solve(gp.y_train - hmat @ beta_hat)

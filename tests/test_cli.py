@@ -112,6 +112,22 @@ class TestGP:
         # the spline's GP stage holds Khat^(-1) y as its coefficients
         assert np.abs(smat @ fit_sp.gp.coefficients - beta_off).max() < 1e-8
 
+    def test_brownian_reads_variance(self, tmp_path):
+        # brownian is variance * min(x, x'): variance 4 moves the curve, and
+        # the run equals gp_fit under integrated_wiener_kernel(0, 4.0)
+        curves = {}
+        for variance in ("1", "4"):
+            out = tmp_path / variance
+            assert run_cli(["gp", "--kernel", "brownian", "--variance", variance, "--out", str(out)]) == 0
+            curves[variance] = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1)
+        assert not np.array_equal(curves["1"][:, 1:], curves["4"][:, 1:])
+        x, y = np.loadtxt(tmp_path / "4" / "data.csv", delimiter=",", skiprows=1).T
+        fit = gr.gp_fit(x, y, gr.integrated_wiener_kernel(0, 4.0), cli.DEFAULTS["gp"]["sigma"])
+        means, variances = gr.gp_predict_curve(fit, curves["4"][:, 0])
+        assert np.array_equal(curves["4"][:, 1], means)
+        assert np.array_equal(curves["4"][:, 2], np.sqrt(variances))
+        assert read_json(tmp_path / "4" / "manifest.json")["params"]["variance"] == 4.0
+
     def test_wrong_data_header_rejected(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         data.write_text("a,b\n0.1,0.2\n0.5,0.3\n")

@@ -98,6 +98,23 @@ class TestNystrom:
         lam1 = pairs[0][0]
         assert abs(lam1 - BM_EIGS[0]) / BM_EIGS[0] < 0.02
 
+    def test_scaled_brownian_kernel(self):
+        # variance * min(x, x') bit for bit (the kernel scales the inputs),
+        # q = variance * delta, and lambda_j = variance * the Brownian lambda_j
+        # to rounding, with the same eigenfunctions
+        grid = np.concatenate([[0.0, 1.0], np.random.default_rng(3).uniform(0.0, 1.0, 50)])
+        unit = gr.brownian_motion_kernel()
+        for variance in (0.1, 1.0, 2.5, 10.0):
+            kern = gr.integrated_wiener_kernel(0, variance)
+            assert np.array_equal(kern.evaluate(grid[:, None], grid[None, :]),
+                                  variance * np.minimum(grid[:, None], grid[None, :]))
+            phi, q = kern.markov(0.25, 0.75)
+            assert phi == 1.0 and q == variance * 0.5
+            for j in range(1, 9):
+                lam, psi = kern.analytic_eigen(j)
+                assert abs(lam - variance * BM_EIGS[j - 1]) <= 1e-15 * lam
+                assert np.array_equal(psi(grid), unit.analytic_eigen(j)[1](grid))
+
     def test_eigenvalues_non_increasing(self):
         pairs = gr.nystrom_eigen(gr.ou_kernel(1.0), 200, 6, seed=0)
         lams = [p[0] for p in pairs]
@@ -400,13 +417,15 @@ def _dense_twin(kern):
 
 
 def _markov_problem(data):
-    """An OU or Brownian-motion fit on 1-300 unsorted distinct inputs with sigma in
-    [1e-3, 1], and prediction points on the inputs, beyond both ends and between."""
+    """An OU or Brownian-motion fit (variance in [0.1, 10]) on 1-300 unsorted distinct
+    inputs with sigma in [1e-3, 1], and prediction points on the inputs, beyond
+    both ends and between."""
     n = data.draw(st.integers(1, 300), label="n")
     sigma = data.draw(st.floats(1e-3, 1.0), label="sigma")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     if data.draw(st.booleans(), label="brownian"):
-        kern, lo, hi = gr.brownian_motion_kernel(), 0.0, 1.0
+        variance = data.draw(st.floats(0.1, 10.0), label="variance")
+        kern, lo, hi = gr.integrated_wiener_kernel(0, variance), 0.0, 1.0
         x = rng.uniform(0.0, 1.0, n)
         if data.draw(st.booleans(), label="train at 0"):
             x[0] = 0.0
@@ -423,10 +442,13 @@ class TestMarkovChain:
     """The O(n) chain path of OU and Brownian motion against the dense path of the same kernel."""
 
     def test_scalar_kernels_carry_the_hook(self):
-        for kern in (gr.ou_kernel(1.0), gr.brownian_motion_kernel()):
+        m1_spline = sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.3, m_order=1)
+        for kern in (gr.ou_kernel(1.0), gr.brownian_motion_kernel(), gr.integrated_wiener_kernel(0, 2.5),
+                     m1_spline.gp.kernel):
             assert kern.markov is not None
         for kern in (gr.squared_exponential_kernel(0.3), gr.spline_cubic_kernel(),
-                     gr.spectral_numeric_kernel([1.0, 1.0]), gr.matrix_kernel([0.0, 1.0], np.eye(2))):
+                     gr.spectral_numeric_kernel([1.0, 1.0]), gr.matrix_kernel([0.0, 1.0], np.eye(2)),
+                     *(gr.integrated_wiener_kernel(l, 2.5) for l in (1, 2, 3))):
             assert kern.markov is None
 
     def test_ou_step_variance_keeps_its_digits(self):
@@ -547,7 +569,7 @@ class TestMarkovChain:
 
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 1.0, 50)
-        for base in (gr.ou_kernel(1.5), gr.brownian_motion_kernel()):
+        for base in (gr.ou_kernel(1.5), gr.brownian_motion_kernel(), gr.integrated_wiener_kernel(0, 2.5)):
             kern = dataclasses.replace(base, evaluate=one_dimensional(base.evaluate))
             with monkeypatch.context() as patched:
                 for name in ("gram", "_regularized_gram"):

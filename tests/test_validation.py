@@ -158,6 +158,8 @@ CASES = {
                                        b=(0.3, S), d=(1, C)),
     "analytic_eigen": case(lambda j: BM.analytic_eigen(j)[1](0.3), j=(2, C)),
     "integrated_wiener_cov": case(gr.integrated_wiener_cov, l=(1, C), x=(0.3, S), x_prime=(0.6, S)),
+    "integrated_wiener_kernel": case(lambda l, variance: gr.integrated_wiener_kernel(l, variance)
+                                     .evaluate(0.2, 0.7), l=(1, C), variance=(1.0, S)),
     "spline_cubic_kernel": case(lambda variance: gr.spline_cubic_kernel(variance).evaluate(0.2, 0.7),
                                 variance=(1.0, S)),
     "spectral_numeric_kernel": case(lambda b: gr.spectral_numeric_kernel(b).evaluate(0.0, 0.5),
