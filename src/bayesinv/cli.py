@@ -207,10 +207,11 @@ def cmd_gp(cfg: ExperimentConfig) -> dict:
         xs = np.sort(rng.uniform(0.02, 0.98, int(p["n"])))
         ys = np.sin(2.0 * math.pi * xs) + p["sigma"] * rng.standard_normal(xs.size)
     fit = gp_rkhs.gp_fit(xs, ys, kernel, p["sigma"])
-    # representer identity: predictive means K c against exactly rounded sum_j c_j K(x_i, x_j)
-    kmat = gp_rkhs.gram(kernel, xs)
-    terms = kmat * fit.coefficients
-    resid = float(np.max(np.abs(kmat @ fit.coefficients - [math.fsum(row) for row in terms])))
+    # representer identity: the fit's predictive means at the training points
+    # against exactly rounded sum_j c_j K(x_i, x_j)
+    terms = gp_rkhs.gram(kernel, xs) * fit.coefficients
+    means_at_xs = gp_rkhs.gp_predict_curve(fit, xs)[0]
+    resid = float(np.max(np.abs(means_at_xs - [math.fsum(row) for row in terms])))
     grid = np.linspace(0.0, 1.0, num_pred)
     means, variances = gp_rkhs.gp_predict_curve(fit, grid)
     return {
@@ -226,6 +227,8 @@ def cmd_gp(cfg: ExperimentConfig) -> dict:
 
 def cmd_calibrate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
+    if not 0.0 < p["level"] < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {p['level']}")
     curve_points = check.count("curve_points", p["curve_points"], 2)
     if p["data"] is not None:
         xs, ys = read_csv(p["data"], ["x", "y"]).T.copy()

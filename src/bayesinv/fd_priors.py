@@ -11,7 +11,6 @@ non-smooth root is a discretized derivative penalty, whose continuum value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,49 +53,35 @@ class PrecisionRoot:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", check.finite("matrix", self.matrix))
+        if self.matrix.ndim != 2:
+            raise ValueError(f"matrix must be 2-d, got shape {self.matrix.shape}")
         check.positive("tilde_sigma", self.tilde_sigma)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        """Offsets a (column minus row) of the diagonals of M holding a nonzero.
-
-        Diagonals are counted outward from the main one until their nonzeros
-        add up to M's, so a banded M costs one count over M and a few
-        diagonals. Cached per root: M must not change after the first read.
-        """
-        rows, cols = self.matrix.shape
-        left = np.count_nonzero(self.matrix)
-        found = []
-        for a in sorted(range(1 - rows, cols), key=abs):
-            if not left:
-                break
-            count = np.count_nonzero(np.diagonal(self.matrix, a))
-            if count:
-                found.append(a)
-                left -= count
-        return tuple(sorted(found))
-
     def gram_band(self) -> dict[int, np.ndarray]:
         """The band of M^T M, as {k: diagonal k} for k >= 0; all else is zero.
 
         Diagonal -k equals diagonal k. Entry (i, i + k) is the sum over rows r
         of M[r, i] M[r, i + k], taken in increasing r, read from the shifted
-        diagonals of M's band; no n x n product is formed. Where each such
+        diagonals of M's band; no n x n product is formed. The band is read
+        from M's nonzeros on every call, so an edit to M shows. Where each such
         sum is exact (every builder here except the jump entries and the
         soft-boundary corners) it equals ``M.T @ M`` bit for bit; otherwise
         it can differ from it by the rounding of a fused multiply-add.
         """
         rows, cols = self.matrix.shape
+        # the offsets a (column minus row) of the diagonals holding a nonzero
+        nz_rows, nz_cols = np.divmod(np.flatnonzero(self.matrix != 0), cols)
+        offsets = np.unique(nz_cols - nz_rows).tolist()
         band = {}
         # r = i - a, so increasing r is decreasing a
-        for a in reversed(self._offsets):
+        for a in reversed(offsets):
             lo = max(0, -a)
             diag_a = np.diagonal(self.matrix, a)
-            for b in self._offsets:
+            for b in offsets:
                 if b < a:
                     continue
                 hi = min(rows, cols - b)

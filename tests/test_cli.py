@@ -88,13 +88,16 @@ class TestDemoLinear:
 
 class TestGP:
     def test_representer_residual_reported(self, tmp_path):
-        out = tmp_path / "gp"
-        code = run_cli(["gp", "--kernel", "ou", "--n", "20", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        summary = read_json(out / "summary.json")
-        assert summary["representer_residual_max"] < 1e-12
-        lines = (out / "curve.csv").read_text().strip().splitlines()
-        assert lines[0] == "x,mean,sd"
+        # the residual reads the fit's own predictions, so the chain path of
+        # ou and brownian is checked as well as the dense one
+        for kernel in cli.GP_KERNELS:
+            out = tmp_path / kernel
+            code = run_cli(["gp", "--kernel", kernel, "--n", "20", "--seed", "1", "--out", str(out)])
+            assert code == 0
+            summary = read_json(out / "summary.json")
+            assert summary["representer_residual_max"] < 1e-12, kernel
+            lines = (out / "curve.csv").read_text().strip().splitlines()
+            assert lines[0] == "x,mean,sd"
 
     def test_spline_kernel_gp_matches_spline_module(self):
         # cross-module consistency: GP regression with the scaled spline
@@ -440,6 +443,7 @@ def test_config_value_the_flag_would_reject_writes_nothing(tmp_path, capsys, com
      "b = 1e-200 under- or overflows in the arithmetic on it"),
     (["demo-linear", "--kernel", "groundwater", "--diffusion", "5e-324"],
      "D = 5e-324 under- or overflows in the arithmetic on it"),
+    (["calibrate", "--m", "3", "--level", "nan"], "level must lie in (0, 1), got nan"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, message):
@@ -461,6 +465,8 @@ def test_non_finite_flag_named_and_writes_nothing(tmp_path, capsys, argv, messag
     (["risk", "--n", "2"], "n must be an integer >= 3, got 2"),
     (["coverage", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     (["risk", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["calibrate", "--m", "1", "--level", "2"], "level must lie in (0, 1), got 2.0"),
+    (["calibrate", "--m", "3", "--level", "2"], "level must lie in (0, 1), got 2.0"),
 ])
 def test_size_flag_out_of_range_named_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

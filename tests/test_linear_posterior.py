@@ -270,6 +270,18 @@ class TestBandedHessian:
             eps = np.finfo(float).eps
             assert np.all(np.abs(post.hessian - (kk + mm)) <= eps * (np.abs(kk) + np.abs(mm)))
 
+    def test_band_follows_an_edit_to_the_root(self):
+        # the band is read from M on every fit, so a root edited in place
+        # after one fit gives the edited M^T M on the next; every entry here
+        # is dyadic, so both sums are exact
+        grid = fo.Grid(0.0, 1.0, 6)
+        op, root, y = fo.make_identity(grid), fp.build_nonsmooth(6), np.ones(6)
+        lp.fit(op, root, y, 0.5)
+        root.matrix[0, 4] = 0.5
+        post = lp.fit(op, root, y, 0.5)
+        kmat, mmat = op.matrix, root.matrix
+        assert np.array_equal(post.hessian, kmat.T @ kmat / 0.5**2 + mmat.T @ mmat / root.tilde_sigma**2)
+
 
 class TestLapackInverse:
     @pytest.mark.parametrize("builder", ["smooth_zero_boundary", "smooth_soft_boundary", "nonsmooth",

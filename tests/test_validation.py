@@ -139,6 +139,9 @@ CASES = {
                           theta_true=(np.ones(5), A), sigma=(0.1, S)),
     "PrecisionRoot": case(lambda matrix, tilde_sigma: fp.PrecisionRoot(matrix, "custom", tilde_sigma),
                           matrix=(np.eye(4), A), tilde_sigma=(1.0, S)),
+    "PrecisionRoot.gram_band": case(lambda matrix: fp.PrecisionRoot(matrix, "custom").gram_band(),
+                                    matrix=(np.eye(4), st.sampled_from(
+                                        [np.ones(5), np.ones((2, 2, 2)), np.float64(1.0)]))),
     **{build.__name__: case(lambda n, tilde_sigma, build=build: build(n, tilde_sigma),
                             n=(5, C), tilde_sigma=(1.0, S))
        for build in (fp.build_smooth_interior, fp.build_smooth_zero_boundary,
