@@ -64,34 +64,29 @@ class PrecisionRoot:
     def gram_band(self) -> dict[int, np.ndarray]:
         """The band of M^T M, as {k: diagonal k} for k >= 0; all else is zero.
 
-        Diagonal -k equals diagonal k. Entry (i, i + k) is the sum over rows r
-        of M[r, i] M[r, i + k], taken in increasing r, read from the shifted
-        diagonals of M's band; no n x n product is formed. The band is read
-        from M's nonzeros on every call, so an edit to M shows. Where each such
-        sum is exact (every builder here except the jump entries and the
-        soft-boundary corners) it equals ``M.T @ M`` bit for bit; otherwise
-        it can differ from it by the rounding of a fused multiply-add.
+        Diagonal -k equals diagonal k. M's band is read by column from its
+        nonzeros on every call, so an edit to M shows: for the offsets
+        (column minus row) a_j = hi - j, j = 0 .. d - 1, from the highest to
+        the lowest holding a nonzero, B[j, i] = M[i - a_j, i], zero where
+        that row is off the matrix. Then (M^T M)[i, i + k] =
+        sum_j B[j + k, i] B[j, i + k]: one product per lag k, and no n x n
+        product. Where each such sum is exact (every builder here except the
+        jump entries and the soft-boundary corners) it equals ``M.T @ M`` bit
+        for bit; otherwise it can differ from it by the rounding of a fused
+        multiply-add.
         """
         rows, cols = self.matrix.shape
-        # the offsets a (column minus row) of the diagonals holding a nonzero
         nz_rows, nz_cols = np.divmod(np.flatnonzero(self.matrix != 0), cols)
-        offsets = np.unique(nz_cols - nz_rows).tolist()
-        band = {}
-        # r = i - a, so increasing r is decreasing a
-        for a in reversed(offsets):
-            lo = max(0, -a)
-            diag_a = np.diagonal(self.matrix, a)
-            for b in offsets:
-                if b < a:
-                    continue
-                hi = min(rows, cols - b)
-                if hi <= lo:
-                    continue
-                diag_b = np.diagonal(self.matrix, b)
-                prod = diag_a[: hi - lo] * diag_b[lo - max(0, -b) : hi - max(0, -b)]
-                out = band.setdefault(b - a, np.zeros(cols - (b - a)))
-                out[lo + a : hi + a] += prod
-        return band
+        if not nz_rows.size:
+            return {}
+        offsets = nz_cols - nz_rows
+        cols_i = np.arange(cols)
+        row_of = cols_i - np.arange(offsets.max(), offsets.min() - 1, -1)[:, None]
+        band = np.where((row_of >= 0) & (row_of < rows),
+                        self.matrix[row_of.clip(0, rows - 1), cols_i], 0.0)
+        d = len(band)
+        return {k: (band[k:, : cols - k] * band[: d - k, k:]).sum(axis=0)
+                for k in range(min(d, cols))}
 
 
 def build_smooth_interior(n: int, tilde_sigma: float = 1.0) -> PrecisionRoot:

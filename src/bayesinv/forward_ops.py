@@ -171,6 +171,7 @@ def simulate_data(op: ForwardOperator, theta_true: np.ndarray, sigma: float, see
     theta_true = check.finite("theta_true", theta_true, (op.col_grid.n,))
     if sigma:  # sigma = 0 gives noise-free data
         sigma = check.positive("sigma", sigma)
+    seed = check.count("seed", seed, 0)
     clean = op.matrix @ theta_true
     rng = np.random.default_rng(seed)
     return clean + sigma * rng.standard_normal(clean.shape[0])

@@ -399,6 +399,8 @@ def nystrom_eigen(kernel: CovarianceKernel, n: int, count: int, seed: int):
     good to ~1e-8 only); otherwise LAPACK ``dsyevr`` on an index subset.
     """
     check.count("count", count, 1, check.count("n", n, 1))
+    for s in np.ravel(seed):  # an integer or, as numpy allows, a list of them
+        check.count("seed", s, 0)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, n)
     if kernel.markov is None:
@@ -469,11 +471,11 @@ def gp_fit(x, y, kernel: CovarianceKernel, sigma: float) -> GPRegressionFit:
     """
     sigma = check.positive("sigma", sigma)
     x = check.inside("x", check.finite("x", x), kernel.domain)
-    y = check.finite("y", y, x.shape)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a 1-d array, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("x must hold at least one training input")
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-d array")
+    y = check.finite("y", y, x.shape)
     if np.unique(x).size != x.size:
         raise ValueError("training inputs must be distinct")
     factor = (_DenseFactor if kernel.markov is None else _ChainFactor)(kernel, x, y, sigma)
@@ -494,6 +496,8 @@ def gp_predict_curve(fit: GPRegressionFit, xs) -> tuple[np.ndarray, np.ndarray]:
     clamped to zero within a -1e-10 tolerance; lower is an error.
     """
     xs = check.inside("xs", check.finite("xs", xs), fit.kernel.domain)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-d array, got shape {xs.shape}")
     means, variances = fit._chol.predict(fit, xs)
     if np.any(variances < -1e-10):
         raise ValueError("predictive variance below the clamping tolerance")

@@ -561,6 +561,7 @@ def inconsistency_experiment(theta_true: float, n_values: Sequence[int], seed: i
     the variance infinite is a ValueError.
     """
     theta_true = check.positive("theta_true", theta_true)
+    seed = check.count("seed", seed, 0)
     n_values = [check.count("n_values", n, 3) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be non-empty and strictly increasing")

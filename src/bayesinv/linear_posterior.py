@@ -119,7 +119,7 @@ def posterior_sd(post: GaussianPosterior) -> np.ndarray:
 def sample(post: GaussianPosterior, k: int, seed: int) -> np.ndarray:
     """k independent posterior draws, one per row; deterministic per seed."""
     check.count("k", k, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check.count("seed", seed, 0))
     z = rng.standard_normal((post.n, k))
     # chol_lower is L with H = L L^T, so L^{-T} z has covariance H^{-1}
     draws = linalg.solve_triangular(post.chol_lower.T, z, lower=False)

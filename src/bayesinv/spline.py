@@ -69,6 +69,9 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
     sigma2 = check.positive("sigma2", sigma2)
     sigma2_theta = check.positive("sigma2_theta", sigma2_theta)
     check.count("m_order", m_order, 1, 3)
+    if x.size < m_order:
+        # fewer knots than trend coefficients leave the trend's GLS singular
+        raise ValueError(f"x must hold at least m_order = {m_order} knots, got {x.size}")
 
     gp = gp_fit(x, y, integrated_wiener_kernel(m_order - 1, sigma2_theta), math.sqrt(sigma2))
     hmat = _poly_basis(x, m_order)  # n x m
@@ -79,6 +82,8 @@ def spline_fit(x, y, sigma2: float, sigma2_theta: float, m_order: int = 2) -> Sp
 
 def spline_predict(fit: SplineFit, x_star):
     """Posterior-mean prediction h(x*)^T beta + s(x*)^T Khat^(-1)(y - H beta)."""
+    if np.ndim(x_star) > 1:
+        raise ValueError(f"x_star must be a scalar or a 1-d array, got shape {np.shape(x_star)}")
     xs = np.atleast_1d(np.asarray(x_star, dtype=float))
     check.inside("x_star", xs, fit.gp.kernel.domain)
     s = fit.gp.kernel.evaluate(xs[:, None], fit.x_train[None, :])

@@ -349,6 +349,18 @@ class TestGramBand:
         assert np.all(np.abs(scatter_band(root.gram_band(), root.n) - mat.T @ mat) <= bound)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_dense_root_within_row_count_roundings(self, rows, cols, seed):
+        # every diagonal is occupied, so every lag is in the band and each
+        # entry sums `rows` products: each side lies within ~rows u |M|^T |M|
+        # of the exact value (u = eps/2), so the two within rows eps
+        mat = np.random.default_rng(seed).standard_normal((rows, cols))
+        band = fp.PrecisionRoot(mat, "custom").gram_band()
+        assert sorted(band) == list(range(cols))
+        bound = rows * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat))
+        assert np.all(np.abs(scatter_band(band, cols) - mat.T @ mat) <= bound)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 60), st.integers(0, 5),
            st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3))
     def test_every_builder(self, n, which, xis):

@@ -507,15 +507,18 @@ class TestMarkovChain:
         assert pairs[-1] == (0.0, pytest.approx([0.0, 1.0, 0.0], abs=0))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(brownian=st.booleans(), n=st.integers(1, 400), count=st.integers(1, 6),
-           b=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
-    def test_nystrom_matches_dsyevr(self, brownian, n, count, b, seed):
-        # eigenvalues to 1e-12 relative (measured 3.2e-14). Eigenvectors, up to
-        # sign, to 1e-14 (||Q|| / gap(1/lambda) + lambda_1 / gap(lambda)): the
+    @given(kind=st.sampled_from(["brownian", "ou", "ou_dense"]), n=st.integers(1, 400),
+           count=st.integers(1, 6), b=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_nystrom_matches_dsyevr(self, kind, n, count, b, seed):
+        # eigenvalues to 1e-12 relative (measured 3.2e-14 on the chain, 7.3e-14
+        # on the dense branch over 600 draws). Eigenvectors, up to sign, to
+        # 1e-14 (||Q|| / gap(1/lambda) + lambda_1 / gap(lambda)): the
         # tridiagonal solver's error bound, with ||Q|| ~ 1 / (closest pair's
         # distance), plus dsyevr's own (measured worst 2.1e-16 of that, and
-        # 4.3e-11 absolute)
-        kern = gr.brownian_motion_kernel() if brownian else gr.ou_kernel(b)
+        # 4.3e-11 absolute). OU without its Markov hook takes the dense dsyevr
+        # branch itself
+        kern = {"brownian": gr.brownian_motion_kernel(), "ou": gr.ou_kernel(b),
+                "ou_dense": dataclasses.replace(gr.ou_kernel(b), markov=None)}[kind]
         count = min(count, n)
         pairs = gr.nystrom_eigen(kern, n, count, seed)
         points = np.random.default_rng(seed).uniform(0.0, 1.0, n)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, optimize, stats
@@ -456,6 +456,9 @@ def test_coverage_experiment_matches_per_replicate_loop(seed, n, n_reps):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**130), k=st.integers(1, 40), size=st.integers(0, 40))
+# seeds of more than three words run the loop over entropy words past the pool
+@example(seed=2**96 + 12345, k=3, size=5)
+@example(seed=2**200 + 1, k=2, size=4)
 def test_replicate_normals_equal_default_rng_streams(seed, k, size):
     # the bulk seeding copies numpy's SeedSequence and PCG64 seeding: this
     # catches numpy changing either

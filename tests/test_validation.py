@@ -75,6 +75,21 @@ LEAKS = [
     ("seed", lambda: ir.coverage_experiment(20, 5.0, 1.0, 30, 0.05, 1.0, 2.5)),
     ("seed", lambda: ir.estimator_risk_experiment(20, 1.0, 1.0, 20, 0.5, -1)),
     ("seed", lambda: ir.estimator_risk_experiment(20, 1.0, 1.0, 20, 0.5, 2.5)),
+    ("seed", lambda: lp.sample(POST, 2, -1)),
+    ("seed", lambda: lp.sample(POST, 2, 1.5)),
+    ("seed", lambda: fo.simulate_data(BLUR, np.ones(5), 0.1, -1)),
+    ("seed", lambda: gr.nystrom_eigen(gr.brownian_motion_kernel(), 10, 2, -1)),
+    ("seed", lambda: ir.inconsistency_experiment(1.0, [100], -1)),
+    # fewer knots than trend coefficients left the trend's GLS singular
+    ("x", lambda: sp.spline_fit([0.5], [1.0], 0.1, 1.0, m_order=2)),
+    ("x", lambda: sp.spline_fit([0.3, 0.6], [1.0, 0.0], 0.1, 1.0, m_order=3)),
+    # a 2-d input is named as such, on the chain and the dense path alike
+    ("x", lambda: gr.gp_fit(np.full((4, 2), 0.5), np.ones(4), gr.brownian_motion_kernel(), 0.1)),
+    *[("xs", lambda kern=kern: gr.gp_predict_curve(gr.gp_fit([0.1, 0.4], [0.0, 1.0], kern, 0.1),
+                                                    np.full((2, 2), 0.5)))
+      for kern in (gr.ou_kernel(1.0), gr.squared_exponential_kernel(0.3))],
+    ("x_star", lambda: sp.spline_predict(sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.0),
+                                         np.full((2, 2), 0.5))),
 ]
 
 
