@@ -63,6 +63,14 @@ CONDITION_WARN_THRESHOLD = 1e12
 
 @dataclass(frozen=True)
 class CovarianceKernel:
+    """A covariance and what is known of it.
+
+    ``evaluate(x, x')`` broadcasts its arguments and must return a new float
+    array (a scalar for scalar input), which the library may overwrite: the
+    dense path adds sigma^2 to the diagonal of the Gram in place and factors
+    it in its own buffer. ``gram`` returns that array in Fortran order.
+    """
+
     evaluate: Callable[..., np.ndarray]
     analytic_eigen: Optional[Callable[[int], tuple]] = None
     domain: tuple[float, float] = (-math.inf, math.inf)
@@ -79,7 +87,12 @@ def ou_kernel(b: float) -> CovarianceKernel:
     check.representable("b", b, lambda: 1.0 / (2.0 * b))  # the variance
 
     def evaluate(x, xp):
-        return np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
+        out = np.asarray(np.subtract(x, xp, dtype=float))
+        np.abs(out, out=out)
+        np.multiply(-b, out, out=out)
+        np.exp(out, out=out)
+        np.divide(out, 2.0 * b, out=out)
+        return out if out.ndim else out[()]
 
     def markov(lo, hi):
         delta = np.asarray(hi, dtype=float) - lo
@@ -98,9 +111,15 @@ def squared_exponential_kernel(b: float, d: int = 1) -> CovarianceKernel:
         "b", b, lambda: ((2.0 * math.pi * b * b) ** (-d / 2.0), 2.0 * b * b))
 
     def evaluate(x, xp):
-        diff = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-        r2 = diff**2 if d == 1 else np.sum(diff**2, axis=-1)
-        return norm * np.exp(-r2 / two_var)
+        out = np.asarray(np.subtract(x, xp, dtype=float))
+        np.square(out, out=out)
+        if d > 1:
+            out = np.asarray(out.sum(axis=-1))
+        np.negative(out, out=out)
+        np.divide(out, two_var, out=out)
+        np.exp(out, out=out)
+        np.multiply(norm, out, out=out)
+        return out if out.ndim else out[()]
 
     return CovarianceKernel(evaluate)
 
@@ -121,15 +140,30 @@ def integrated_wiener_cov(l: int, x, x_prime):
     d = np.asarray(x - xp)
     np.abs(d, out=d)
     scale = math.factorial(l) ** 2
-    # Horner in d over the positive terms, v's powers by multiplication, in place
-    power = v * v if l else v
+    # int / int underflows to 0.0, 1.0 / int overflows
+    coef = [math.comb(l, j) / ((l + j + 1) * scale) for j in range(l + 1)]
+    # Horner in d over the positive terms (coef[0] = 1 at l = 0), v's powers by
+    # multiplication, in place, with augmented assignment so that a scalar stays one
+    out = v * v if l else v
     for _ in range(l - 1):
-        power *= v
-    out = power * (1 / ((l + 1) * scale))  # int / int underflows to 0.0, 1.0 / int overflows
+        out *= v
+    power = out
     for j in range(1, l + 1):
-        power *= v
+        if j == l:  # the last power is written over v, and its term over the power
+            v *= power
+            power = v
+        elif j == 1:  # a buffer of its own: the sum takes over v^(l+1)'s
+            power = power * v
+        else:
+            power *= v
+        if j == 1:
+            out *= coef[0]
         out *= d
-        out += power * (math.comb(l, j) / ((l + j + 1) * scale))
+        if j == l:
+            power *= coef[j]
+            out += power
+        else:
+            out += power * coef[j]
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,8 +174,11 @@ def integrated_wiener_kernel(l: int, variance: float = 1.0) -> CovarianceKernel:
     check.count("l", l, 0)
     variance = check.positive("variance", variance)
     if l:
-        return CovarianceKernel(lambda x, xp: variance * integrated_wiener_cov(l, x, xp),
-                                domain=(0.0, 1.0))
+        def scaled(x, xp):
+            k = integrated_wiener_cov(l, x, xp)
+            return variance * k if isinstance(k, float) else np.multiply(variance, k, out=k)
+
+        return CovarianceKernel(scaled, domain=(0.0, 1.0))
 
     def evaluate(x, xp):
         # v min(x, x') bit for bit; a Gram scales its n inputs, not its n^2 entries
@@ -218,9 +255,16 @@ def matrix_kernel(points, cov) -> CovarianceKernel:
 
 
 def gram(kernel: CovarianceKernel, points) -> np.ndarray:
-    """Gram matrix evaluate(points[i], points[j]) of points shaped (n,) or (n, d)."""
+    """Gram matrix evaluate(points[i], points[j]) of points shaped (n,) or (n, d).
+
+    The matrix is in Fortran order, the transpose of the C-ordered array that
+    ``evaluate(points[None, :], points[:, None])`` fills, so LAPACK factors it in
+    its own buffer.
+    """
     points = check.finite("points", points)
-    return np.asarray(kernel.evaluate(points[:, None], points[None, :]), dtype=float)
+    if points.ndim not in (1, 2):
+        raise ValueError(f"points must have shape (n,) or (n, d), got shape {points.shape}")
+    return np.asarray(kernel.evaluate(points[None, :], points[:, None]), dtype=float).swapaxes(0, 1)
 
 
 @dataclass(init=False, eq=False)
@@ -371,7 +415,8 @@ class _DenseFactor:
 
     def __init__(self, kernel: CovarianceKernel, x: np.ndarray, y: np.ndarray, sigma: float):
         try:
-            self.lower = linalg.cholesky(_regularized_gram(kernel, x, sigma), lower=True)
+            self.lower = linalg.cholesky(_regularized_gram(kernel, x, sigma), lower=True,
+                                         overwrite_a=True)
         except linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("K + sigma^2 I is numerically singular") from exc
         self.coefficients = self.solve(y)
@@ -382,9 +427,11 @@ class _DenseFactor:
     def predict(self, fit: GPRegressionFit, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Representer mean, and k(x*, x*) - |L^(-1) K(x_train, x*)|^2 by one triangular solve."""
         smat = check.finite("kernel", fit.kernel.evaluate(xs[:, None], fit.x_train[None, :]))
-        w = linalg.solve_triangular(self.lower, smat.T, lower=True, check_finite=False)
+        means = smat @ fit.coefficients
+        w = linalg.solve_triangular(self.lower, smat.T, lower=True, overwrite_b=True,
+                                    check_finite=False)
         prior = np.asarray(fit.kernel.evaluate(xs, xs), dtype=float)
-        return smat @ fit.coefficients, prior - np.einsum("ij,ij->j", w, w)
+        return means, prior - np.einsum("ij,ij->j", w, w)
 
 
 def nystrom_eigen(kernel: CovarianceKernel, n: int, count: int, seed: int):
@@ -575,4 +622,4 @@ def penalty_quadratic_form(b, theta) -> float:
         stencil = _difference_stencil(m)
         diffs = np.convolve(theta, stencil[::-1], mode="valid") * float(n) ** m
         total += b[m] * float(diffs @ diffs) / n
-    return total
+    return float(total)

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import copy
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +413,153 @@ class TestDenseFactor:
             assert {owners[attr] for attr in reads} <= {path.name}, path.name
 
 
+def _reference_ou(b):
+    """The OU kernel's evaluate as written before it worked in place: the reference."""
+    return lambda x, xp: np.exp(-b * np.abs(np.asarray(x, dtype=float) - xp)) / (2.0 * b)
+
+
+def _reference_sqexp(b, d):
+    norm, two_var = (2.0 * math.pi * b * b) ** (-d / 2.0), 2.0 * b * b
+
+    def evaluate(x, xp):
+        diff = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+        r2 = diff**2 if d == 1 else np.sum(diff**2, axis=-1)
+        return norm * np.exp(-r2 / two_var)
+
+    return evaluate
+
+
+def _reference_cov(l, x, xp):
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    v = np.minimum(x, xp)
+    d = np.asarray(x - xp)
+    np.abs(d, out=d)
+    scale = math.factorial(l) ** 2
+    power = v * v if l else v
+    for _ in range(l - 1):
+        power *= v
+    out = power * (1 / ((l + 1) * scale))
+    for j in range(1, l + 1):
+        power *= v
+        out *= d
+        out += power * (math.comb(l, j) / ((l + j + 1) * scale))
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_wiener(l, variance):
+    if l == 0:
+        return lambda x, xp: np.minimum(np.multiply(variance, x), np.multiply(variance, xp))
+    return lambda x, xp: variance * _reference_cov(l, x, xp)
+
+
+REFERENCE_KERNELS = {
+    "ou": (gr.ou_kernel(1.7), _reference_ou(1.7), 1),
+    "sqexp": (gr.squared_exponential_kernel(0.3), _reference_sqexp(0.3, 1), 1),
+    "sqexp_d2": (gr.squared_exponential_kernel(0.4, 2), _reference_sqexp(0.4, 2), 2),
+    **{f"wiener_l{l}": (gr.integrated_wiener_kernel(l, 2.5), _reference_wiener(l, 2.5), 1)
+       for l in range(4)},
+    **{f"cov_l{l}": (gr.CovarianceKernel(lambda x, xp, l=l: gr.integrated_wiener_cov(l, x, xp)),
+                     lambda x, xp, l=l: _reference_cov(l, x, xp), 1) for l in range(4)},
+}
+
+
+@st.composite
+def _kernel_inputs(draw, d):
+    """(x, x') as scalars, 0-d arrays, lists, (n, 1) x (1, m) or (n,) x (n,), each
+    point carrying d coordinates in a last axis when d > 1."""
+    form = draw(st.sampled_from(["scalar", "0-d", "list", "outer", "paired"]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shapes = {"scalar": ((), ()), "0-d": ((), ()), "list": ((n,), (n,)),
+              "outer": ((n, 1), (1, m)), "paired": ((n,), (n,))}[form]
+    coords = () if d == 1 else (d,)
+    x, xp = (np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape) * d,
+                                    max_size=math.prod(shape) * d))).reshape(shape + coords)
+             for shape in shapes)
+    if form == "scalar" and d == 1:
+        return float(x), float(xp)
+    if form in ("scalar", "list"):
+        return x.tolist(), xp.tolist()
+    return x, xp
+
+
+class TestInPlaceKernels:
+    """Each kernel evaluates in place in the one array its first step allocates,
+    with the bits and return types of the expressions it replaced."""
+
+    @pytest.mark.parametrize("name", REFERENCE_KERNELS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bits_and_types_match_the_reference(self, name, data):
+        kern, reference, d = REFERENCE_KERNELS[name]
+        x, xp = data.draw(_kernel_inputs(d), label="inputs")
+        before = copy.deepcopy((x, xp))
+        got, want = kern.evaluate(x, xp), reference(x, xp)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for arg, kept in zip((x, xp), before):
+            assert type(arg) is type(kept) and np.asarray(arg).tobytes() == np.asarray(kept).tobytes()
+
+    def test_gram_entry_is_evaluate_at_the_pair(self):
+        # a kernel that is not symmetric tells (i, j) from (j, i)
+        kern = gr.CovarianceKernel(lambda x, xp: np.asarray(x, dtype=float) + 2.0 * np.asarray(xp))
+        points = np.array([0.1, 0.35, 0.4, 0.9, 0.95])
+        g = gr.gram(kern, points)
+        assert g.shape == (5, 5) and g.flags.f_contiguous
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                assert g[i, j] == kern.evaluate(p, q)
+
+    @pytest.mark.parametrize("name", ["sqexp", "wiener_l1"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), sigma=st.sampled_from([0.01, 0.1, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_and_curve_match_the_reference_kernel(self, name, n, sigma, seed):
+        kern, reference, _ = REFERENCE_KERNELS[name]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.02, 0.98, n)
+        y = np.sin(6.0 * x) + sigma * rng.standard_normal(n)
+        xs = np.linspace(0.0, 1.0, 41)
+        fits = [gr.gp_fit(x, y, k, sigma) for k in (kern, dataclasses.replace(kern, evaluate=reference))]
+        assert fits[0].coefficients.tobytes() == fits[1].coefficients.tobytes()
+        for got, want in zip(*(gr.gp_predict_curve(fit, xs) for fit in fits)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestDenseKernelMemory:
+    """Traced peak memory of the dense path at n = 300, in units of one n x n
+    float array: the kernel fills one array and LAPACK factors it in place."""
+
+    N = 300
+
+    def _peak(self, call):
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return (tracemalloc.get_traced_memory()[1] - before) / (8 * self.N**2)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kern, bound", [
+        (gr.ou_kernel(2.0), 1.25), (gr.squared_exponential_kernel(0.2), 1.25),
+        (gr.brownian_motion_kernel(), 1.25),
+        # v = min(x, x'), |x - x'| and v^2, whose buffer takes the sum
+        (gr.integrated_wiener_kernel(1, 2.5), 3.25)])
+    def test_gram(self, kern, bound):
+        points = np.random.default_rng(0).uniform(0.0, 1.0, self.N)
+        assert self._peak(lambda: gr.gram(kern, points)) <= bound
+
+    def test_fit_and_curve(self):
+        # the Gram, factored in its own buffer, and the 201 x n cross-covariance
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 1.0, self.N)
+        y, xs, kern = np.sin(6.0 * x), np.linspace(0.0, 1.0, 201), gr.squared_exponential_kernel(0.2)
+        assert self._peak(lambda: gr.gp_predict_curve(gr.gp_fit(x, y, kern, 0.1), xs)) <= 2.0
+
+
 def _dense_twin(kern):
     """The same kernel without its Markov hook: the dense Gram path, the oracle."""
     return gr.CovarianceKernel(kern.evaluate, domain=kern.domain)
@@ -720,6 +869,7 @@ class TestPenaltyQuadraticForm:
         n = 400
         theta = np.sin(2 * np.pi * np.arange(n) / n)
         val = gr.penalty_quadratic_form([0.0, 1.0], theta)
+        assert type(val) is float
         assert abs(val - 2 * math.pi**2) / (2 * math.pi**2) < 0.05
 
     def test_grid_size_validation(self):

@@ -90,6 +90,9 @@ LEAKS = [
       for kern in (gr.ou_kernel(1.0), gr.squared_exponential_kernel(0.3))],
     ("x_star", lambda: sp.spline_predict(sp.spline_fit([0.2, 0.5, 0.8], [0.0, 1.0, 0.0], 0.1, 1.0),
                                          np.full((2, 2), 0.5))),
+    # points of another rank: a bare IndexError at 0-d, a 4-d array at 3-d
+    ("points", lambda: gr.gram(gr.ou_kernel(1.0), 0.5)),
+    ("points", lambda: gr.gram(gr.ou_kernel(1.0), np.full((2, 2, 2), 0.5))),
 ]
 
 
